@@ -96,20 +96,27 @@ class Tape:
         out = _ops._depthwise_nd(xv, wv, stride, pad)
 
         def vjp(g):
-            xp = _ops._pad_nd(xv, pad)
-            oh, ow = g.shape[2], g.shape[3]
-            dw = np.empty_like(wv)
-            dxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    sl = xp[:, :, i:i + stride * oh:stride,
-                            j:j + stride * ow:stride]
-                    dw[:, i, j] = (g * sl).sum(axis=(0, 2, 3))
-                    dxp[:, :, i:i + stride * oh:stride,
-                        j:j + stride * ow:stride] += \
-                        g * wv[None, :, i, j, None, None]
+            # dw keeps the NCHW per-tap reduction, whose summation order is
+            # the reference; dx is scattered tap by tap, i-major, into a
+            # padded (c, h, w, n) buffer, as the forward gathers.
             h, wd = xv.shape[2], xv.shape[3]
-            return dxp[:, :, pad:pad + h, pad:pad + wd], dw
+            oh, ow = g.shape[2], g.shape[3]
+            taps = _ops._depthwise_taps(k, k, stride, pad, h, wd, oh, ow)
+            xp = _ops._pad_nd(xv, pad)
+            dw = np.zeros_like(wv)
+            for i, j in taps:
+                sl = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+                dw[:, i, j] = (g * sl).sum(axis=(0, 2, 3))
+            del xp
+            gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
+            tmp = np.empty_like(gt)
+            dxt = np.zeros((xv.shape[1], h + 2 * pad, wd + 2 * pad, xv.shape[0]))
+            for i, j in taps:
+                np.multiply(wv[:, i, j, None, None, None], gt, out=tmp)
+                dxt[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += tmp
+            del gt, tmp
+            dx = dxt[:, pad:pad + h, pad:pad + wd].transpose(3, 0, 1, 2)
+            return np.ascontiguousarray(dx), dw
 
         return self._record(out, (x, w), vjp, "depthwise_conv")
 

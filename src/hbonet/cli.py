@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,10 +30,41 @@ from .tensor import Tensor
 from .train import ToyConfig, train_toy, write_log_csv
 
 
+# (argument, test, requirement) for the numeric flags, checked before any
+# work so that a bad value exits 2 with one line instead of a traceback
+_FLAG_RULES = (
+    ("width", lambda v: 0 < v < math.inf, "a positive finite number"),
+    ("divisor", lambda v: v in (0, 2, 4, 8), "0 (the default policy), 2, 4 or 8"),
+    ("num_classes", lambda v: v >= 1, ">= 1"),
+    ("batch", lambda v: v >= 1, ">= 1"),
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("expect_mflops", lambda v: 0 < v < math.inf, "a positive finite number"),
+    ("tol", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    ("step", lambda v: 0 < v < math.inf, "a positive finite number"),
+    ("lr", lambda v: 0 < v < math.inf, "a positive finite number"),
+    ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
+)
+
+
+def _check_flags(args) -> None:
+    for dest, ok, requirement in _FLAG_RULES:
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be "
+                              f"{requirement}, got {value}")
+
+
 def _network_spec(args) -> NetworkSpec:
     if getattr(args, "spec", None):
-        with open(args.spec) as fp:
-            name, stages = load_stage_table(json.load(fp))
+        try:
+            with open(args.spec) as fp:
+                doc = json.load(fp)
+        except OSError as exc:
+            raise ConfigError(f"cannot read --spec {args.spec}: "
+                              f"{exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--spec {args.spec} is not JSON: {exc}") from exc
+        name, stages = load_stage_table(doc)
         divisor = args.divisor if args.divisor else default_divisor(args.width)
         return NetworkSpec(name, stages, args.width, divisor, args.resolution,
                            args.num_classes, getattr(args, "variant", 1),
@@ -202,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,6 +105,9 @@ def _scale_channels(c: int, spec: NetworkSpec, exempt: bool) -> int:
 
 def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
     """Parse a stage-table JSON document, reporting the offending row index."""
+    if not isinstance(doc, dict):
+        raise ConfigError(
+            f"stage table must be a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != 1:
         raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
     stages = []

@@ -4,6 +4,11 @@ Public functions take and return :class:`~hbonet.tensor.Tensor`; the ndarray
 kernels (prefixed ``_nd``) are shared with the autodiff tape so the eager and
 taped paths compute byte-identical forward values. Every convolution path is
 tested against ``conv2d_oracle`` at 1e-12.
+
+Tensors are NCHW at every interface. Inside, the depthwise kernels work on a
+zero-padded (c, h, w, n) copy, so each kernel tap is one long sweep with
+the batch innermost; each output element still adds its taps in the same
+order as a plain NCHW shift-and-add, so the values are bitwise unchanged.
 """
 from __future__ import annotations
 
@@ -96,18 +101,53 @@ def _conv2d_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarra
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
+def _live_offsets(k: int, stride: int, pad: int, size: int, out: int) -> list[int]:
+    """Kernel offsets i along one axis whose strided window
+    i, i+stride, ..., i+stride*(out-1) over the padded axis reaches a real
+    position (pad .. pad+size-1) rather than only padding."""
+    return [i for i in range(k)
+            if any(pad <= i + stride * m < pad + size for m in range(out))]
+
+
+@lru_cache(maxsize=None)
+def _depthwise_taps(kh: int, kw: int, stride: int, pad: int,
+                    h: int, w: int, oh: int, ow: int) -> tuple[tuple[int, int], ...]:
+    """The (i, j) taps, i-major, that see at least one real input pixel.
+
+    A skipped tap only multiplies padding zeros; its +-0 products change no
+    sum, which starts from +0, so skipping it keeps every value bitwise.
+    Cached per geometry: a network asks for the same few on every call.
+    """
+    return tuple((i, j) for i in _live_offsets(kh, stride, pad, h, oh)
+                 for j in _live_offsets(kw, stride, pad, w, ow))
+
+
 def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Depthwise convolution via shift-and-add; w has shape (c, kh, kw)."""
+    """Depthwise convolution via shift-and-add; w has shape (c, kh, kw).
+
+    Works on a zero-padded (c, h, w, n) copy of ``x``: each live tap is one
+    multiply into a scratch buffer and one add into a (c, oh, ow, n)
+    accumulator, both long sweeps with the batch innermost. Every output
+    element adds its taps from +0 in i-major order, as a plain NCHW
+    shift-and-add over all k*k taps does, so the two agree bitwise; at
+    batch 1 the layout is NCHW's own memory order. Returns a C-contiguous
+    NCHW array.
+    """
+    n, c, h, wd = x.shape
     kh, kw = w.shape[1], w.shape[2]
-    xp = _pad_nd(x, pad)
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
-    out = np.zeros((x.shape[0], x.shape[1], oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            out += w[None, :, i, j, None, None] * \
-                xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return out
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    xt = np.zeros((c, h + 2 * pad, wd + 2 * pad, n))
+    xt[:, pad:pad + h, pad:pad + wd] = x.transpose(1, 2, 3, 0)
+    out = np.zeros((c, oh, ow, n))
+    tmp = np.empty_like(out)
+    for i, j in _depthwise_taps(kh, kw, stride, pad, h, wd, oh, ow):
+        np.multiply(w[:, i, j, None, None, None],
+                    xt[:, i:i + stride * oh:stride, j:j + stride * ow:stride],
+                    out=tmp)
+        out += tmp
+    del xt, tmp  # freed before the NCHW copy to keep peak memory down
+    return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
 
 
 def _pointwise_nd(x: np.ndarray, w: np.ndarray) -> np.ndarray:

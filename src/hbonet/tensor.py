@@ -6,6 +6,8 @@ explicit zero padding, explicit loops over output elements, float64 only.
 """
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -242,12 +244,28 @@ def save_tensor(t: Tensor, fp: BinaryIO) -> None:
 
 
 def load_tensor(fp: BinaryIO) -> Tensor:
-    shape = _HEADER.unpack(fp.read(_HEADER.size))
-    count = int(np.prod(shape))
-    raw = fp.read(count * 8)
-    if len(raw) != count * 8:
+    """Read a file written by :func:`save_tensor` from a seekable stream.
+
+    The header is checked before the payload is read: every dim must be
+    >= 1 and the bytes left in the stream must be exactly n*c*h*w float64
+    values, so a corrupt header raises ``DimensionError`` instead of asking
+    for an arbitrary amount of memory.
+    """
+    header = fp.read(_HEADER.size)
+    if len(header) != _HEADER.size:
         raise DimensionError(
-            f"truncated tensor payload: expected {count * 8} bytes, got {len(raw)}"
-        )
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return Tensor(arr)
+            f"truncated tensor header: expected {_HEADER.size} bytes, "
+            f"got {len(header)}")
+    shape = _HEADER.unpack(header)
+    if min(shape) < 1:
+        raise DimensionError(f"all dims must be >= 1, got {shape}")
+    nbytes = math.prod(shape) * 8
+    start = fp.tell()
+    available = fp.seek(0, io.SEEK_END) - start
+    fp.seek(start)
+    if available != nbytes:
+        raise DimensionError(
+            f"tensor payload of shape {shape} needs {nbytes} bytes, "
+            f"stream holds {available}")
+    arr = np.frombuffer(fp.read(nbytes), dtype="<f8").astype(np.float64)
+    return Tensor(arr.reshape(shape))

@@ -137,6 +137,43 @@ class TestTrainToy:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestBadInput:
+    """Every bad flag value exits 2 with a single ``error:`` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--expect-mflops", "0"],
+        ["analyze", "--width", "0"],
+        ["analyze", "--width", "-1"],
+        ["analyze", "--width", "0.5", "--divisor", "3"],
+        ["analyze", "--num-classes", "0"],
+        ["analyze", "--tol", "-1", "--expect-mflops", "300"],
+        ["analyze", "--seed", "-1"],
+        ["analyze", "--spec", "{missing}"],
+        ["analyze", "--spec", "{not_json}"],
+        ["analyze", "--spec", "{json_list}"],
+        ["trace", "--num-classes", "0"],
+        ["infer", "--batch", "0"],
+        ["gradcheck", "--step", "0"],
+        ["train-toy", "--width", "0"],
+        ["train-toy", "--lr", "-1"],
+        ["train-toy", "--label-smoothing", "1"],
+    ])
+    def test_exits_two_with_one_error_line(self, argv, tmp_path, capsys):
+        not_json = tmp_path / "not.json"
+        not_json.write_text("{")
+        json_list = tmp_path / "list.json"
+        json_list.write_text("[1, 2]")
+        argv = [a.format(missing=tmp_path / "missing.json", not_json=not_json,
+                         json_list=json_list)
+                for a in argv]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestDumpSpec:
     @pytest.mark.parametrize("preset", ["hbonet", "mobilenetv2"])
     def test_emits_valid_stage_table(self, preset, capsys):

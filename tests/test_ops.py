@@ -2,10 +2,11 @@
 algebraic laws."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbonet import ops
+from hbonet.autodiff import Tape
 from hbonet.ops import BatchNormParams
 from hbonet.tensor import (
     ConvKernel,
@@ -56,6 +57,83 @@ class TestDepthwiseConv:
         got = ops.depthwise_conv(x, w, stride=stride)
         want = conv2d_oracle(x, w, stride=stride, pad=(k - 1) // 2)
         assert tensor_equal_within(got, want, 1e-12)
+
+
+def _depthwise_reference(x, w, stride, pad):
+    """Plain NCHW shift-and-add over every tap, padding taps included: the
+    bitwise reference for ``ops._depthwise_nd``; w has shape (c, kh, kw)."""
+    kh, kw = w.shape[1], w.shape[2]
+    xp = ops._pad_nd(x, pad)
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((x.shape[0], x.shape[1], oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            out += w[None, :, i, j, None, None] * \
+                xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return out
+
+
+def _depthwise_vjp_reference(x, w, g, stride):
+    """Per-tap NCHW (dx, dw) for pad (k-1)/2: the bitwise reference for the
+    VJP of ``Tape.depthwise_conv``."""
+    k = w.shape[1]
+    pad = (k - 1) // 2
+    xp = ops._pad_nd(x, pad)
+    oh, ow = g.shape[2], g.shape[3]
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            sl = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            dw[:, i, j] = (g * sl).sum(axis=(0, 2, 3))
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                g * w[None, :, i, j, None, None]
+    h, wd = x.shape[2], x.shape[3]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw
+
+
+class TestDepthwiseBitwise:
+    """The (c, h, w, n) kernels against the NCHW reference: forward and dx
+    byte for byte, dw by value (a tap that sees only padding sums +-0
+    products in the reference and is exactly 0 here)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 3, 32]), c=st.integers(1, 4),
+           h=st.integers(1, 16), w=st.integers(1, 16),
+           k=st.sampled_from([3, 5]), stride=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=32, c=3, h=1, w=1, k=3, stride=1, seed=0)
+    @example(n=3, c=2, h=2, w=3, k=5, stride=2, seed=1)
+    @example(n=1, c=4, h=16, w=16, k=5, stride=2, seed=2)
+    def test_forward_dx_dw_equal_reference(self, n, c, h, w, k, stride, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w))
+        wt = rng.normal(size=(c, k, k))
+        tape = Tape()
+        y = tape.depthwise_conv(tape.leaf(x), tape.leaf(wt), stride=stride)
+        want = _depthwise_reference(x, wt, stride, (k - 1) // 2)
+        assert y.value.shape == want.shape
+        assert y.value.tobytes() == want.tobytes()
+        g = rng.normal(size=want.shape)
+        dx, dw = y.vjp(g)
+        want_dx, want_dw = _depthwise_vjp_reference(x, wt, g, stride)
+        assert dx.shape == want_dx.shape
+        assert dx.tobytes() == want_dx.tobytes()
+        assert np.array_equal(dw, want_dw)
+
+    @pytest.mark.parametrize("kh,kw,stride,pad", [
+        (1, 3, 1, 0), (3, 1, 2, 1), (2, 2, 1, 1), (5, 3, 2, 3), (3, 3, 3, 0),
+    ])
+    def test_grouped_conv_path_equals_reference(self, kh, kw, stride, pad):
+        """conv2d with groups == channels reaches the same kernel with any
+        kernel shape and padding."""
+        rng = np.random.default_rng(kh * 100 + kw * 10 + stride + pad)
+        x = rng.normal(size=(3, 4, 7, 6))
+        w = rng.normal(size=(4, 1, kh, kw))
+        got = ops.conv2d(Tensor(x), ConvKernel(w, groups=4), stride, pad)
+        want = _depthwise_reference(x, w[:, 0], stride, pad)
+        assert got.data.tobytes() == want.tobytes()
 
 
 class TestPointwiseConv:

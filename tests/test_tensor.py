@@ -5,6 +5,7 @@ written scatter-style (loop over input positions, accumulate into outputs)
 so the two routes share no loop structure.
 """
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -211,6 +212,39 @@ class TestGoldenFormat:
         data = buf.getvalue()[:-8]
         with pytest.raises(DimensionError):
             load_tensor(io.BytesIO(data))
+
+
+class _ReadRecorder(io.BytesIO):
+    """In-memory stream that records the size of every read request."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.requests = []
+
+    def read(self, size=-1):
+        self.requests.append(size)
+        return super().read(size)
+
+
+class TestCorruptHeader:
+    """A header that disagrees with its payload fails before any large read;
+    the claimed sizes are never allocated (reads stay within the file)."""
+
+    @pytest.mark.parametrize("dims,payload", [
+        ((0xFFFFFFFF,) * 4, 32),            # int64 product would overflow
+        ((1000, 1000, 1000, 8), 32),        # asks for 64 GB
+        ((1, 1, 2, 0), 0),                  # zero dim
+        ((1, 1, 2, 2), 40),                 # one value too many
+    ])
+    def test_rejected_without_large_read(self, dims, payload):
+        fp = _ReadRecorder(struct.pack("<4I", *dims) + bytes(payload))
+        with pytest.raises(DimensionError):
+            load_tensor(fp)
+        assert all(0 <= r <= 16 for r in fp.requests), fp.requests
+
+    def test_truncated_header(self):
+        with pytest.raises(DimensionError):
+            load_tensor(io.BytesIO(b"\x01\x00\x00"))
 
 
 @settings(max_examples=25, deadline=None)

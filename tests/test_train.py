@@ -185,6 +185,12 @@ class TestTrainToy:
         b = train_toy(**kwargs)
         assert a == b
 
+    def test_first_epoch_loss_is_pinned(self):
+        """Three steps of the training path, pinned to the last bit: any
+        change to the float order of a kernel or its gradient shows here."""
+        log = train_toy(config=ToyConfig(num_samples=96), epochs=1, seed=0)
+        assert log[0].loss.hex() == "0x1.29212c9fe49e8p+0"
+
     def test_divergence_raises_with_step_index(self, monkeypatch):
         import hbonet.train as train_mod
 
