@@ -155,13 +155,16 @@ class Tape:
             var = xv.var(axis=(0, 2, 3))
             p.running_mean[...] = (1 - p.momentum) * p.running_mean + p.momentum * mean
             p.running_var[...] = (1 - p.momentum) * p.running_var + p.momentum * var
+            norm = _bn_normalize(xv, mean, var, p.eps)
+            out = gv[None, :, None, None] * norm[1] + bv[None, :, None, None]
         else:
-            mean, var = p.running_mean.copy(), p.running_var.copy()
-        inv = 1.0 / np.sqrt(var + p.eps)
-        xhat = (xv - mean[None, :, None, None]) * inv[None, :, None, None]
-        out = gv[None, :, None, None] * xhat + bv[None, :, None, None]
+            # the eager op's folded kernel, so eager and taped agree bitwise;
+            # the VJP normalizes by the same statistics, only when it runs
+            stats = p.running_mean.copy(), p.running_var.copy()
+            out = _ops._bn_affine_nd(xv, *stats, gv, bv, p.eps)
 
         def vjp(g):
+            inv, xhat = norm if training else _bn_normalize(xv, *stats, p.eps)
             dgamma = (g * xhat).sum(axis=(0, 2, 3))
             dbeta = g.sum(axis=(0, 2, 3))
             if training:
@@ -296,6 +299,12 @@ class Tape:
             return (float(g) * (softmax - target) / n,)
 
         return self._record(out, (logits,), vjp, "label_smooth_ce")
+
+
+def _bn_normalize(xv, mean, var, eps):
+    """(1/sqrt(var + eps), xhat) of a batch-norm input, per channel."""
+    inv = 1.0 / np.sqrt(var + eps)
+    return inv, (xv - mean[None, :, None, None]) * inv[None, :, None, None]
 
 
 def backward(tape: Tape, loss_node: Node) -> dict[Node, np.ndarray]:

@@ -65,12 +65,22 @@ class StageSpec:
     width_exempt: bool = False
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if not isinstance(self.op, str) or self.op not in _OPS:
             raise ConfigError(f"unknown operator {self.op!r}")
-        if self.n < 1:
-            raise ConfigError(f"repeat count must be >= 1, got {self.n}")
-        if self.s not in (1, 2):
-            raise ConfigError(f"stride must be 1 or 2, got {self.s}")
+        for key in ("t", "c", "n"):   # t and c may be absent, n may not
+            value = getattr(self, key)
+            if (key == "n" or value is not None) and \
+                    not (_is_int(value) and value >= 1):
+                raise ConfigError(f"'{key}' must be a positive integer, got {value!r}")
+        if not _is_int(self.s) or self.s not in (1, 2):
+            raise ConfigError(f"stride must be 1 or 2, got {self.s!r}")
+        if not isinstance(self.width_exempt, bool):
+            raise ConfigError(
+                f"'width_exempt' must be true or false, got {self.width_exempt!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -108,10 +118,17 @@ def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
     if not isinstance(doc, dict):
         raise ConfigError(
             f"stage table must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format_version") != 1:
-        raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if not _is_int(version) or version != 1:
+        raise ConfigError(f"unsupported format_version {version!r}")
+    rows = doc.get("stages", [])
+    if not isinstance(rows, list):
+        raise ConfigError(f"'stages' must be a list, got {type(rows).__name__}")
     stages = []
-    for i, row in enumerate(doc.get("stages", [])):
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ConfigError(
+                f"stage {i}: must be a JSON object, got {type(row).__name__}")
         try:
             stages.append(StageSpec(
                 op=row["op"],
@@ -121,7 +138,7 @@ def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
                 s=row.get("s", 1),
                 width_exempt=row.get("width_exempt", False),
             ))
-        except (KeyError, TypeError, ConfigError) as exc:
+        except (KeyError, ConfigError) as exc:
             raise ConfigError(f"stage {i}: {exc}") from exc
         if stages[-1].op in ("conv3x3", "conv1x1", "conv1x1_linear", "hbo",
                              "inverted_residual") and stages[-1].c is None:
@@ -130,7 +147,10 @@ def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
             raise ConfigError(f"stage {i}: operator {stages[-1].op!r} needs 't'")
     if not stages:
         raise ConfigError("stage table is empty")
-    return doc.get("name", "network"), tuple(stages)
+    name = doc.get("name", "network")
+    if not isinstance(name, str):
+        raise ConfigError(f"'name' must be a string, got {type(name).__name__}")
+    return name, tuple(stages)
 
 
 def preset_stage_table(preset: str) -> dict:

@@ -5,10 +5,15 @@ kernels (prefixed ``_nd``) are shared with the autodiff tape so the eager and
 taped paths compute byte-identical forward values. Every convolution path is
 tested against ``conv2d_oracle`` at 1e-12.
 
-Tensors are NCHW at every interface. Inside, the depthwise kernels work on a
-zero-padded (c, h, w, n) copy, so each kernel tap is one long sweep with
-the batch innermost; each output element still adds its taps in the same
-order as a plain NCHW shift-and-add, so the values are bitwise unchanged.
+Tensors are NCHW at every interface. Inside, depthwise convolution turns
+each kernel tap into long numpy sweeps, in one of two layouts chosen by the
+batch size alone: a single image (n == 1) is split into stride x stride
+phase planes, so a tap is one contiguous slice per channel over a
+full-width output grid; a batch (n > 1) is copied to a zero-padded
+(c, h, w, n) array, so a tap is one run of ow*n elements per output row
+with the batch innermost. Either way each output element adds the same taps
+in the same order as a plain NCHW shift-and-add, so both layouts give its
+values bit for bit.
 """
 from __future__ import annotations
 
@@ -122,32 +127,96 @@ def _depthwise_taps(kh: int, kw: int, stride: int, pad: int,
                  for j in _live_offsets(kw, stride, pad, w, ow))
 
 
+# Elements per channel block of the flat depthwise accumulator (256 KB), so
+# the accumulator and its multiply scratch stay in a typical L2 cache.
+_DW_BLOCK = 32768
+
+
 def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
     """Depthwise convolution via shift-and-add; w has shape (c, kh, kw).
 
-    Works on a zero-padded (c, h, w, n) copy of ``x``: each live tap is one
-    multiply into a scratch buffer and one add into a (c, oh, ow, n)
-    accumulator, both long sweeps with the batch innermost. Every output
-    element adds its taps from +0 in i-major order, as a plain NCHW
-    shift-and-add over all k*k taps does, so the two agree bitwise; at
-    batch 1 the layout is NCHW's own memory order. Returns a C-contiguous
-    NCHW array.
+    Each live tap is one multiply into a scratch buffer and one add into an
+    accumulator; only the memory layout of that sweep depends on the batch:
+
+    - n == 1: the flat layout (``_depthwise_flat``). A tap is one contiguous
+      run over a whole channel of a phase plane, oh*wq elements long.
+    - n > 1: the row layout (``_depthwise_rows``). A tap is one run of
+      ow*n elements per output row, with the batch innermost; the flat
+      layout's wq - ow spare columns would cost more than the runs gain.
+
+    In both, every output element adds the same live taps
+    (``_depthwise_taps``) from +0 in i-major order, one multiply then one
+    add each, as a plain NCHW shift-and-add over all kh*kw taps does, so
+    both layouts agree with it, and with each other, bitwise. Returns a
+    C-contiguous NCHW array.
     """
     n, c, h, wd = x.shape
     kh, kw = w.shape[1], w.shape[2]
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
+    taps = _depthwise_taps(kh, kw, stride, pad, h, wd, oh, ow)
+    kernel = _depthwise_flat if n == 1 else _depthwise_rows
+    return kernel(x, w, stride, pad, oh, ow, taps)
+
+
+def _depthwise_rows(x, w, stride, pad, oh, ow, taps):
+    """Row layout: a zero-padded (c, h, w, n) copy of ``x``, so each tap is
+    one strided sweep into a (c, oh, ow, n) accumulator with the batch
+    innermost (runs of ow*n elements)."""
+    n, c, h, wd = x.shape
     xt = np.zeros((c, h + 2 * pad, wd + 2 * pad, n))
     xt[:, pad:pad + h, pad:pad + wd] = x.transpose(1, 2, 3, 0)
     out = np.zeros((c, oh, ow, n))
     tmp = np.empty_like(out)
-    for i, j in _depthwise_taps(kh, kw, stride, pad, h, wd, oh, ow):
+    for i, j in taps:
         np.multiply(w[:, i, j, None, None, None],
                     xt[:, i:i + stride * oh:stride, j:j + stride * ow:stride],
                     out=tmp)
         out += tmp
     del xt, tmp  # freed before the NCHW copy to keep peak memory down
     return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
+
+
+def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
+    """Flat layout: the zero-padded input split into stride x stride phase
+    planes of shape (s, s, c, hq, wq, n), where padded pixel (r, q) sits in
+    plane (r % s, q % s) at (r // s, q // s). Output (y, x) of tap (i, j)
+    then reads plane (i % s, j % s) at (y + i//s, x + j//s), so the tap is
+    one contiguous slice at flat offset (i//s * wq + j//s) * n, oh*wq*n
+    long, over a full-width (oh, wq) grid. The wq - ow columns past ow wrap
+    into the next row and are dropped by the final NCHW copy; the spare row
+    of hq absorbs the last tap's overrun. Channels are swept in blocks of
+    about ``_DW_BLOCK`` accumulator elements."""
+    n, c, h, wd = x.shape
+    s = stride
+    wq = -(-(wd + 2 * pad) // s)
+    hq = -(-(h + 2 * pad) // s) + 1
+    planes = np.zeros((s, s, c, hq, wq, n))
+    for a in range(s):
+        y0 = (a - pad) % s   # first input row that lands in phase a
+        for b in range(s):
+            x0 = (b - pad) % s
+            src = x[:, :, y0::s, x0::s].transpose(1, 2, 3, 0)
+            m0, q0 = (y0 + pad) // s, (x0 + pad) // s
+            planes[a, b, :, m0:m0 + src.shape[1], q0:q0 + src.shape[2]] = src
+    flat = planes.reshape(s, s, c, hq * wq * n)
+    span = oh * wq * n
+    block = max(1, _DW_BLOCK // span)
+    out = np.empty((n, c, oh, ow))
+    acc = np.empty((min(block, c), span))
+    tmp = np.empty_like(acc)
+    for c0 in range(0, c, block):
+        c1 = min(c0 + block, c)
+        acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
+        acc_b.fill(0.0)
+        for i, j in taps:
+            off = ((i // s) * wq + j // s) * n
+            np.multiply(w[c0:c1, i, j, None],
+                        flat[i % s, j % s, c0:c1, off:off + span], out=tmp_b)
+            acc_b += tmp_b
+        out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
+            .transpose(3, 0, 1, 2)
+    return out
 
 
 def _pointwise_nd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -215,6 +284,23 @@ def _upsample_transpose_nd(g: np.ndarray, factor: int, h: int, w: int) -> np.nda
 
 
 def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Average pooling without padding.
+
+    A 2x2 stride-2 pool with at least two output columns adds its four
+    strided taps as ((x00 + x01) + (x10 + x11)) / 4: that is the order
+    numpy's mean over the 2x2 window view uses there, so the two agree
+    bitwise, without the window view. Everything else keeps the mean: with
+    one output column numpy adds the four in sequence instead, and the
+    row-then-rows order differs from the mean in the last bit at k = 4 and
+    k = 7.
+    """
+    if kernel == 2 and stride == 2 and x.shape[3] >= 4:
+        oh, ow = x.shape[2] // 2, x.shape[3] // 2
+        t = [x[:, :, i:2 * oh:2, j:2 * ow:2] for i in (0, 1) for j in (0, 1)]
+        out = t[0] + t[1]
+        out += t[2] + t[3]
+        out /= 4
+        return out
     win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     return win[:, :, ::stride, ::stride].mean(axis=(-2, -1))
 
@@ -224,11 +310,20 @@ def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, w: ConvKernel, stride: int = 1, pad: int = 0) -> Tensor:
-    """Optimized grouped convolution, zero padding; matches conv2d_oracle."""
+    """Optimized grouped convolution, zero padding; matches conv2d_oracle,
+    including the errors it raises for a bad geometry."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0, got {pad}")
     if x.c != w.groups * w.c_in_per_group:
         raise DimensionError(
             f"input has {x.c} channels, kernel expects "
             f"{w.groups}*{w.c_in_per_group}"
+        )
+    if w.k_h > x.h + 2 * pad or w.k_w > x.w + 2 * pad:
+        raise DimensionError(
+            f"kernel {w.k_h}x{w.k_w} does not fit input {x.h}x{x.w} with pad {pad}"
         )
     if w.groups == 1:
         out = _conv2d_nd(x.data, w.data, stride, pad)

@@ -120,6 +120,35 @@ class TestTapedMatchesEager:
         eager = ops.depthwise_conv(Tensor(x), ConvKernel(wd, groups=4), stride=2)
         assert np.array_equal(taped.value, eager.data)
 
+    @pytest.mark.parametrize("grad_enabled", [True, False])
+    def test_values_bitwise_equal(self, grad_enabled):
+        """Depthwise (both layouts), inference batch norm with non-identity
+        statistics, and average pooling: taped bytes equal eager bytes."""
+        from hbonet import ops
+        from hbonet.tensor import ConvKernel, Tensor
+        rng = np.random.default_rng(6)
+        for n in (1, 2):
+            x = rng.normal(size=(n, 4, 9, 8))
+            wd = rng.normal(size=(4, 1, 5, 5))
+            tape = Tape(grad_enabled=grad_enabled)
+            taped = tape.depthwise_conv(tape.leaf(x), tape.leaf(wd[:, 0]), 2)
+            eager = ops.depthwise_conv(Tensor(x), ConvKernel(wd, groups=4), 2)
+            assert taped.value.tobytes() == eager.data.tobytes()
+
+            p = BatchNormParams(
+                gamma=rng.normal(1, 0.3, 4), beta=rng.normal(size=4),
+                running_mean=rng.normal(size=4),
+                running_var=rng.uniform(0.2, 3, 4))
+            taped = tape.batchnorm(tape.leaf(x), tape.leaf(p.gamma),
+                                   tape.leaf(p.beta), p, training=False)
+            eager = ops.batchnorm(Tensor(x), p, training=False)
+            assert taped.value.tobytes() == eager.data.tobytes()
+
+            for k in (2, 3):
+                taped = tape.avgpool(tape.leaf(x), k, k)
+                eager = ops.avgpool(Tensor(x), k, k)
+                assert taped.value.tobytes() == eager.data.tobytes()
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_analytic_gradient(self):

@@ -3,6 +3,8 @@ and the compositional oracle (block forward versus a straight-line chain of
 the primitive ops wired independently in this file)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbonet import ops
 from hbonet.autodiff import Tape
@@ -41,6 +43,15 @@ class TestMakeDivisible:
     def test_bad_divisor(self):
         with pytest.raises(ValueError):
             make_divisible(10, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(min_value=1e-6, max_value=1e6),
+           divisor=st.sampled_from([2, 4, 8]))
+    def test_multiple_of_divisor_within_ten_percent_below(self, c, divisor):
+        n = make_divisible(c, divisor)
+        assert n % divisor == 0
+        assert n >= divisor
+        assert n >= 0.9 * c
 
 
 class TestBlockConfig:

@@ -157,14 +157,27 @@ class TestBadInput:
         ["train-toy", "--width", "0"],
         ["train-toy", "--lr", "-1"],
         ["train-toy", "--label-smoothing", "1"],
+        ["analyze", "--spec", "{stages_int}"],
+        ["analyze", "--spec", "{negative_c}"],
+        ["analyze", "--spec", "{fractional_n}"],
     ])
     def test_exits_two_with_one_error_line(self, argv, tmp_path, capsys):
         not_json = tmp_path / "not.json"
         not_json.write_text("{")
         json_list = tmp_path / "list.json"
         json_list.write_text("[1, 2]")
+        bad_stages = {
+            "stages_int": 5,
+            "negative_c": [{"op": "conv3x3", "c": -8, "n": 1, "s": 2}],
+            "fractional_n": [{"op": "conv3x3", "c": 32, "n": 1.5, "s": 2}],
+        }
+        tables = {}
+        for key, stages in bad_stages.items():
+            tables[key] = tmp_path / f"{key}.json"
+            tables[key].write_text(json.dumps({"format_version": 1,
+                                               "stages": stages}))
         argv = [a.format(missing=tmp_path / "missing.json", not_json=not_json,
-                         json_list=json_list)
+                         json_list=json_list, **tables)
                 for a in argv]
         rc = main(argv)
         captured = capsys.readouterr()

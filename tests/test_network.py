@@ -2,6 +2,8 @@
 and inference behavior."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbonet.autodiff import Tape
 from hbonet.blocks import ConfigError, make_divisible
@@ -131,7 +133,43 @@ class TestForward:
                 assert x.value.shape == (1, c)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10)
+_ROW = st.dictionaries(
+    st.sampled_from(["op", "t", "c", "n", "s", "width_exempt"]),
+    _JSON | st.integers(-1, 3) | st.sampled_from(
+        ["conv3x3", "hbo", "inverted_residual", "conv1x1_linear", "conv1x1",
+         "avgpool", "classifier"]),
+    max_size=6)
+# near-valid tables reach the row checks; arbitrary JSON hits the rest
+_DOC = st.fixed_dictionaries(
+    {"format_version": st.just(1), "stages": st.lists(_ROW, max_size=4) | _JSON},
+    optional={"name": _JSON}) | _JSON
+
+
+def _positive_int(v):
+    return type(v) is int and v >= 1
+
+
 class TestStageTableIO:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_DOC)
+    def test_any_json_document_loads_or_raises_config_error(self, doc):
+        try:
+            name, stages = load_stage_table(doc)
+        except ConfigError:
+            return
+        assert isinstance(name, str) and stages
+        for row in stages:
+            assert all(v is None or _positive_int(v) for v in (row.t, row.c))
+            assert _positive_int(row.n) and row.s in (1, 2)
+            assert type(row.s) is int and type(row.width_exempt) is bool
+        assert _positive_int(doc["format_version"])
+
     def test_presets_parse(self):
         for preset in ("hbonet", "mobilenetv2"):
             name, stages = load_stage_table(preset_stage_table(preset))
@@ -153,6 +191,12 @@ class TestStageTableIO:
     def test_format_version_checked(self):
         with pytest.raises(ConfigError):
             load_stage_table({"format_version": 2, "stages": []})
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_format_version_must_be_the_integer_one(self, version):
+        with pytest.raises(ConfigError, match="format_version"):
+            load_stage_table({"format_version": version,
+                              "stages": [{"op": "avgpool"}]})
 
     def test_custom_table_builds(self):
         doc = {"format_version": 1, "name": "mini", "stages": [

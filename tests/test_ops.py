@@ -2,7 +2,7 @@
 algebraic laws."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hbonet import ops
@@ -94,9 +94,10 @@ def _depthwise_vjp_reference(x, w, g, stride):
 
 
 class TestDepthwiseBitwise:
-    """The (c, h, w, n) kernels against the NCHW reference: forward and dx
-    byte for byte, dw by value (a tap that sees only padding sums +-0
-    products in the reference and is exactly 0 here)."""
+    """The flat (n == 1) and row (n > 1) depthwise layouts against the NCHW
+    reference: forward and dx byte for byte, dw by value (a tap that sees
+    only padding sums +-0 products in the reference and is exactly 0
+    here)."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.sampled_from([1, 3, 32]), c=st.integers(1, 4),
@@ -106,15 +107,24 @@ class TestDepthwiseBitwise:
     @example(n=32, c=3, h=1, w=1, k=3, stride=1, seed=0)
     @example(n=3, c=2, h=2, w=3, k=5, stride=2, seed=1)
     @example(n=1, c=4, h=16, w=16, k=5, stride=2, seed=2)
+    # many channel blocks of the flat layout, the last one ragged
+    @example(n=1, c=37, h=112, w=112, k=5, stride=1, seed=3)
+    @example(n=1, c=37, h=112, w=112, k=5, stride=2, seed=4)
     def test_forward_dx_dw_equal_reference(self, n, c, h, w, k, stride, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, c, h, w))
         wt = rng.normal(size=(c, k, k))
         tape = Tape()
         y = tape.depthwise_conv(tape.leaf(x), tape.leaf(wt), stride=stride)
-        want = _depthwise_reference(x, wt, stride, (k - 1) // 2)
+        pad = (k - 1) // 2
+        want = _depthwise_reference(x, wt, stride, pad)
         assert y.value.shape == want.shape
         assert y.value.tobytes() == want.tobytes()
+        oh, ow = want.shape[2], want.shape[3]
+        taps = ops._depthwise_taps(k, k, stride, pad, h, w, oh, ow)
+        for layout in (ops._depthwise_flat, ops._depthwise_rows):
+            got = layout(x, wt, stride, pad, oh, ow, taps)
+            assert got.tobytes() == want.tobytes()
         g = rng.normal(size=want.shape)
         dx, dw = y.vjp(g)
         want_dx, want_dw = _depthwise_vjp_reference(x, wt, g, stride)
@@ -122,14 +132,18 @@ class TestDepthwiseBitwise:
         assert dx.tobytes() == want_dx.tobytes()
         assert np.array_equal(dw, want_dw)
 
-    @pytest.mark.parametrize("kh,kw,stride,pad", [
-        (1, 3, 1, 0), (3, 1, 2, 1), (2, 2, 1, 1), (5, 3, 2, 3), (3, 3, 3, 0),
+    # n = 3 takes the row layout, n = 1 the flat one
+    @pytest.mark.parametrize("kh,kw,stride,pad,n", [
+        pytest.param(*geom, n, id="-".join(map(str, geom)) + suffix)
+        for n, suffix in ((3, ""), (1, "-n1"))
+        for geom in [(1, 3, 1, 0), (3, 1, 2, 1), (2, 2, 1, 1), (5, 3, 2, 3),
+                     (3, 3, 3, 0)]
     ])
-    def test_grouped_conv_path_equals_reference(self, kh, kw, stride, pad):
-        """conv2d with groups == channels reaches the same kernel with any
-        kernel shape and padding."""
+    def test_grouped_conv_path_equals_reference(self, kh, kw, stride, pad, n):
+        """conv2d with groups == channels reaches the same kernels, in both
+        layouts, with any kernel shape and padding."""
         rng = np.random.default_rng(kh * 100 + kw * 10 + stride + pad)
-        x = rng.normal(size=(3, 4, 7, 6))
+        x = rng.normal(size=(n, 4, 7, 6))
         w = rng.normal(size=(4, 1, kh, kw))
         got = ops.conv2d(Tensor(x), ConvKernel(w, groups=4), stride, pad)
         want = _depthwise_reference(x, w[:, 0], stride, pad)
@@ -166,6 +180,20 @@ class TestPointwiseConv:
 
 
 class TestDenseConv2d:
+    @pytest.mark.parametrize("shape,kernel,groups,stride,pad,error", [
+        ((1, 2, 2, 2), (2, 1, 5, 5), 2, 1, 0, DimensionError),
+        ((1, 2, 4, 4), (3, 2, 5, 1), 1, 1, 0, DimensionError),
+        ((1, 2, 4, 4), (3, 2, 3, 3), 1, 0, 1, ValueError),
+        ((1, 2, 4, 4), (2, 1, 3, 3), 2, 1, -1, ValueError),
+    ], ids=["kernel-over-map", "kernel-over-height", "stride-0", "pad-negative"])
+    def test_bad_geometry_raises_like_oracle(self, shape, kernel, groups,
+                                             stride, pad, error):
+        x = Tensor.zeros(*shape)
+        w = ConvKernel(np.zeros(kernel), groups=groups)
+        for conv in (ops.conv2d, conv2d_oracle):
+            with pytest.raises(error, match="fit|stride|pad"):
+                conv(x, w, stride, pad)
+
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
     def test_matches_oracle(self, stride, pad):
         rng = np.random.default_rng(stride * 7 + pad)
@@ -307,6 +335,32 @@ class TestAvgPool:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             ops.avgpool(Tensor.zeros(1, 1, 3, 3), 4, 1)
+
+
+def _avgpool_reference(x, kernel, stride):
+    """Mean over the sliding-window view: the bitwise reference for
+    ``ops._avgpool_nd``."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel),
+                                                   axis=(2, 3))
+    return win[:, :, ::stride, ::stride].mean(axis=(-2, -1))
+
+
+# half the draws take the 2x2 stride-2 fast path
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 5), h=st.integers(1, 17),
+       w=st.integers(1, 17),
+       pool=st.sampled_from([(2, 2)] * 4 + [(1, 1), (2, 1), (3, 2), (7, 7)]),
+       seed=st.integers(0, 2 ** 16))
+@example(n=1, c=3, h=7, w=7, pool=(7, 7), seed=0)
+@example(n=2, c=2, h=5, w=3, pool=(2, 2), seed=1)   # one output column
+@example(n=1, c=4, h=9, w=10, pool=(2, 2), seed=2)
+def test_avgpool_equals_window_mean(n, c, h, w, pool, seed):
+    kernel, stride = pool
+    assume(kernel <= min(h, w))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, w)) * 10.0 ** rng.integers(-3, 4, (n, c, h, w))
+    want = _avgpool_reference(x, kernel, stride)
+    assert ops.avgpool(Tensor(x), kernel, stride).data.tobytes() == want.tobytes()
 
 
 class TestChannelOps:
