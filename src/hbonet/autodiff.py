@@ -55,6 +55,11 @@ class Tape:
             self.nodes.append(node)
         return node
 
+    def _check_out(self, out) -> None:
+        if out is not None and self.grad_enabled:
+            raise ValueError("an op writes into _out only with grad disabled; "
+                             "a recorded node keeps its input for the VJP")
+
     def _record(self, value, parents, vjp, name) -> Node:
         if not self.grad_enabled:
             return Node(value, (), None, name, self)
@@ -102,18 +107,25 @@ class Tape:
             h, wd = xv.shape[2], xv.shape[3]
             oh, ow = g.shape[2], g.shape[3]
             taps = _ops._depthwise_taps(k, k, stride, pad, h, wd, oh, ow)
+            n = xv.shape[0]
             xp = _ops._pad_nd(xv, pad)
             dw = np.zeros_like(wv)
+            prod = np.empty_like(g)
+            product = _ops._sweep(ow)
             for i, j in taps:
                 sl = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-                dw[:, i, j] = (g * sl).sum(axis=(0, 2, 3))
-            del xp
+                with product:
+                    np.multiply(g, sl, out=prod)
+                dw[:, i, j] = prod.sum(axis=(0, 2, 3))
+            del xp, prod
             gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
             tmp = np.empty_like(gt)
-            dxt = np.zeros((xv.shape[1], h + 2 * pad, wd + 2 * pad, xv.shape[0]))
-            for i, j in taps:
-                np.multiply(wv[:, i, j, None, None, None], gt, out=tmp)
-                dxt[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += tmp
+            dxt = np.zeros((xv.shape[1], h + 2 * pad, wd + 2 * pad, n))
+            with _ops._sweep(ow * n if stride == 1 else n):
+                for i, j in taps:
+                    np.multiply(wv[:, i, j, None, None, None], gt, out=tmp)
+                    dxt[:, i:i + stride * oh:stride,
+                        j:j + stride * ow:stride] += tmp
             del gt, tmp
             dx = dxt[:, pad:pad + h, pad:pad + wd].transpose(3, 0, 1, 2)
             return np.ascontiguousarray(dx), dw
@@ -132,11 +144,15 @@ class Tape:
 
         return self._record(out, (x, w), vjp, "pointwise_conv")
 
-    def relu6(self, x: Node) -> Node:
+    def relu6(self, x: Node, *, _out: np.ndarray | None = None) -> Node:
+        """min(max(x, 0), 6). ``_out`` (grad disabled only) receives the
+        value, so a caller that owns ``x.value`` can pass it and skip an
+        allocation."""
+        self._check_out(_out)
         xv = x.value
-        out = _ops._relu6_nd(xv)
-        # subgradient 0 at both kinks
-        mask = (xv > 0.0) & (xv < 6.0)
+        out = _ops._relu6_nd(xv, out=_out)
+        # subgradient 0 at both kinks; only a recorded node needs the mask
+        mask = ((xv > 0.0) & (xv < 6.0)) if self.grad_enabled else None
 
         def vjp(g):
             return (g * mask,)
@@ -144,7 +160,10 @@ class Tape:
         return self._record(out, (x,), vjp, "relu6")
 
     def batchnorm(self, x: Node, gamma: Node, beta: Node, p: BatchNormParams,
-                  training: bool = False) -> Node:
+                  training: bool = False, *,
+                  _out: np.ndarray | None = None) -> Node:
+        """Per-channel batch norm; ``_out`` as in :meth:`relu6`."""
+        self._check_out(_out)
         xv, gv, bv = x.value, gamma.value, beta.value
         if p.channels != xv.shape[1]:
             raise DimensionError(
@@ -156,28 +175,39 @@ class Tape:
             p.running_mean[...] = (1 - p.momentum) * p.running_mean + p.momentum * mean
             p.running_var[...] = (1 - p.momentum) * p.running_var + p.momentum * var
             norm = _bn_normalize(xv, mean, var, p.eps)
-            out = gv[None, :, None, None] * norm[1] + bv[None, :, None, None]
+            with _ops._sweep(xv.shape[2] * xv.shape[3]):
+                out = np.multiply(gv[None, :, None, None], norm[1], out=_out)
+                out += bv[None, :, None, None]
         else:
             # the eager op's folded kernel, so eager and taped agree bitwise;
-            # the VJP normalizes by the same statistics, only when it runs
-            stats = p.running_mean.copy(), p.running_var.copy()
-            out = _ops._bn_affine_nd(xv, *stats, gv, bv, p.eps)
+            # the VJP normalizes by the same statistics, only when it runs,
+            # so only a recorded node keeps a copy of them
+            stats = (p.running_mean, p.running_var)
+            if self.grad_enabled:
+                stats = tuple(a.copy() for a in stats)
+            out = _ops._bn_affine_nd(xv, *stats, gv, bv, p.eps, out=_out)
 
         def vjp(g):
             inv, xhat = norm if training else _bn_normalize(xv, *stats, p.eps)
             dgamma = (g * xhat).sum(axis=(0, 2, 3))
             dbeta = g.sum(axis=(0, 2, 3))
+            sweep = _ops._sweep(g.shape[2] * g.shape[3])
             if training:
-                gx = g * gv[None, :, None, None]
+                with sweep:
+                    gx = g * gv[None, :, None, None]
+                    gx_xhat = gx * xhat
                 mean_gx = gx.mean(axis=(0, 2, 3))
-                mean_gx_xhat = (gx * xhat).mean(axis=(0, 2, 3))
-                dx = inv[None, :, None, None] * (
-                    gx
-                    - mean_gx[None, :, None, None]
-                    - xhat * mean_gx_xhat[None, :, None, None]
-                )
+                mean_gx_xhat = gx_xhat.mean(axis=(0, 2, 3))
+                del gx_xhat
+                with sweep:
+                    dx = inv[None, :, None, None] * (
+                        gx
+                        - mean_gx[None, :, None, None]
+                        - xhat * mean_gx_xhat[None, :, None, None]
+                    )
             else:
-                dx = g * (gv * inv)[None, :, None, None]
+                with sweep:
+                    dx = g * (gv * inv)[None, :, None, None]
             return dx, dgamma, dbeta
 
         return self._record(out, (x, gamma, beta), vjp, "batchnorm")
@@ -304,7 +334,10 @@ class Tape:
 def _bn_normalize(xv, mean, var, eps):
     """(1/sqrt(var + eps), xhat) of a batch-norm input, per channel."""
     inv = 1.0 / np.sqrt(var + eps)
-    return inv, (xv - mean[None, :, None, None]) * inv[None, :, None, None]
+    with _ops._sweep(xv.shape[2] * xv.shape[3]):
+        xhat = xv - mean[None, :, None, None]
+        xhat *= inv[None, :, None, None]
+    return inv, xhat
 
 
 def backward(tape: Tape, loss_node: Node) -> dict[Node, np.ndarray]:

@@ -258,12 +258,15 @@ def _apply_layer(tape: Tape, x: Node, spec: ConvLayerSpec, lp: LayerParams,
     else:
         y = tape.conv2d(x, tape.leaf(w, f"{base}.weight"),
                         stride=spec.stride, pad=spec.pad)
+    # With grad disabled no node keeps the conv output, so the batch norm
+    # and ReLU6 overwrite it instead of allocating two more arrays.
+    out = None if tape.grad_enabled else y.value
     if lp.bn is not None:
         y = tape.batchnorm(y, tape.leaf(lp.bn.gamma, f"{base}.gamma"),
                            tape.leaf(lp.bn.beta, f"{base}.beta"),
-                           lp.bn, training)
+                           lp.bn, training, _out=out)
     if spec.act:
-        y = tape.relu6(y)
+        y = tape.relu6(y, _out=out)
     return y
 
 

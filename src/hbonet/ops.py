@@ -14,6 +14,18 @@ full-width output grid; a batch (n > 1) is copied to a zero-padded
 with the batch innermost. Either way each output element adds the same taps
 in the same order as a plain NCHW shift-and-add, so both layouts give its
 values bit for bit.
+
+Per-channel elementwise sweeps (the depthwise taps, the batch-norm affine)
+whose rows are long run inside ``_sweep``, which shrinks numpy's ufunc
+buffer for their duration so that numpy walks the arrays in place instead
+of copying both operands through the buffer; the caller's buffer size is
+restored afterwards. The buffer decides only how a loop is driven, never
+an elementwise value, and reductions stay outside the scope.
+
+The batch-norm and ReLU6 kernels take an ``out`` array. With grad disabled
+(inference), ``blocks._apply_layer`` passes the conv output as ``out``,
+which no other node can see, so a conv-BN-ReLU6 layer allocates only the
+conv's output; the values are the same bits.
 """
 from __future__ import annotations
 
@@ -87,6 +99,40 @@ class BatchNormParams:
 # ndarray kernels (shared with the autodiff tape)
 # ---------------------------------------------------------------------------
 
+# numpy copies the operands of an elementwise sweep through its ufunc buffer
+# when they cannot be walked with one stride (a per-channel broadcast such as
+# scale[None, :, None, None], or a strided tap) and two or more of the
+# sweep's innermost rows fit in the buffer. On rows of _LONG_ROW elements or
+# more those copies cost more than they save, so such sweeps run with a
+# buffer shorter than two rows and numpy walks the arrays in place; shorter
+# rows keep the caller's buffer (numpy's default is 8192 elements), where
+# the copies pay off. The buffer size never changes an elementwise result,
+# only how the loop is driven.
+_LONG_ROW = 96
+_SHORT_BUFSIZE = 128
+
+
+class _sweep:
+    """``with _sweep(row):`` scope for elementwise sweeps whose innermost
+    rows are ``row`` elements long. For long rows it sets a short ufunc
+    buffer and restores the caller's size on exit, also when the body
+    raises. Reductions (sum, mean, var) stay outside it. Reusable, not
+    reentrant."""
+
+    __slots__ = ("unbuffered", "saved")
+
+    def __init__(self, row: int):
+        self.unbuffered = row >= _LONG_ROW
+
+    def __enter__(self):
+        if self.unbuffered:
+            self.saved = np.setbufsize(_SHORT_BUFSIZE)
+
+    def __exit__(self, *exc):
+        if self.unbuffered:
+            np.setbufsize(self.saved)
+
+
 def _pad_nd(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x
@@ -128,7 +174,10 @@ def _depthwise_taps(kh: int, kw: int, stride: int, pad: int,
 
 
 # Elements per channel block of the flat depthwise accumulator (256 KB), so
-# the accumulator and its multiply scratch stay in a typical L2 cache.
+# the accumulator and its multiply scratch stay in a typical L2 cache. With
+# the sweeps unbuffered, blocks of 16k-64k elements time within 2% of each
+# other over the batch-1 depthwise calls of HBONet and MobileNetV2 1.0@224;
+# 8k and 128k are 14% and 26% slower.
 _DW_BLOCK = 32768
 
 
@@ -168,11 +217,13 @@ def _depthwise_rows(x, w, stride, pad, oh, ow, taps):
     xt[:, pad:pad + h, pad:pad + wd] = x.transpose(1, 2, 3, 0)
     out = np.zeros((c, oh, ow, n))
     tmp = np.empty_like(out)
-    for i, j in taps:
-        np.multiply(w[:, i, j, None, None, None],
-                    xt[:, i:i + stride * oh:stride, j:j + stride * ow:stride],
-                    out=tmp)
-        out += tmp
+    # a tap's innermost row: ow*n contiguous elements, or n at stride 2
+    with _sweep(ow * n if stride == 1 else n):
+        for i, j in taps:
+            np.multiply(w[:, i, j, None, None, None],
+                        xt[:, i:i + stride * oh:stride, j:j + stride * ow:stride],
+                        out=tmp)
+            out += tmp
     del xt, tmp  # freed before the NCHW copy to keep peak memory down
     return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
 
@@ -205,17 +256,18 @@ def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
     out = np.empty((n, c, oh, ow))
     acc = np.empty((min(block, c), span))
     tmp = np.empty_like(acc)
-    for c0 in range(0, c, block):
-        c1 = min(c0 + block, c)
-        acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
-        acc_b.fill(0.0)
-        for i, j in taps:
-            off = ((i // s) * wq + j // s) * n
-            np.multiply(w[c0:c1, i, j, None],
-                        flat[i % s, j % s, c0:c1, off:off + span], out=tmp_b)
-            acc_b += tmp_b
-        out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
-            .transpose(3, 0, 1, 2)
+    with _sweep(span):
+        for c0 in range(0, c, block):
+            c1 = min(c0 + block, c)
+            acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
+            acc_b.fill(0.0)
+            for i, j in taps:
+                off = ((i // s) * wq + j // s) * n
+                np.multiply(w[c0:c1, i, j, None],
+                            flat[i % s, j % s, c0:c1, off:off + span], out=tmp_b)
+                acc_b += tmp_b
+            out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
+                .transpose(3, 0, 1, 2)
     return out
 
 
@@ -239,15 +291,23 @@ def _grouped_conv_nd(x: np.ndarray, w: np.ndarray, groups: int,
     return np.concatenate(outs, axis=1)
 
 
-def _relu6_nd(x: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, 0.0), 6.0)
+def _relu6_nd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """min(max(x, 0), 6), into ``out`` when given (which may be ``x``)."""
+    out = np.maximum(x, 0.0, out=out)
+    return np.minimum(out, 6.0, out=out)
 
 
 def _bn_affine_nd(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
-                  gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
+                  gamma: np.ndarray, beta: np.ndarray, eps: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """x * scale + shift per channel, the folded inference batch norm,
+    into ``out`` when given (which may be ``x``)."""
     scale = gamma / np.sqrt(var + eps)
     shift = beta - mean * scale
-    return x * scale[None, :, None, None] + shift[None, :, None, None]
+    with _sweep(x.shape[2] * x.shape[3]):
+        out = np.multiply(x, scale[None, :, None, None], out=out)
+        out += shift[None, :, None, None]
+    return out
 
 
 @lru_cache(maxsize=None)

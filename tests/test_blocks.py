@@ -17,8 +17,10 @@ from hbonet.blocks import (
     hbo_forward_node,
     init_block_params,
     inverted_residual_forward,
+    inverted_residual_forward_node,
     make_divisible,
 )
+from hbonet.network import build_network, forward, hbonet_spec
 from hbonet.tensor import Tensor, tensor_equal_within
 
 HBO = BlockKind.HARMONIOUS_BOTTLENECK
@@ -233,19 +235,88 @@ class TestCompositionalOracle:
         p = init_block_params(cfg, rng)
         x = Tensor(rng.normal(size=(2, 4, 6, 6)))
         got = inverted_residual_forward(x, cfg, p)
-        y = x
-        for name in ("expand_pw", "body_dw", "reduce_pw"):
-            spec = {s.name: s for s in block_layer_table(cfg)}[name]
-            lp = p.layers[name]
-            if spec.kind == "depthwise":
-                y = ops.depthwise_conv(y, lp.kernel, stride=spec.stride)
-            else:
-                y = ops.pointwise_conv(y, lp.kernel)
-            y = ops.batchnorm(y, lp.bn, training=False)
-            if spec.act:
-                y = ops.relu6(y)
-        want = ops.eltadd(y, x)
+        want = compose_inverted_residual_from_primitives(x, cfg, p)
         assert tensor_equal_within(got, want, 1e-12)
+
+
+def compose_inverted_residual_from_primitives(x, cfg, p):
+    """Straight-line inverted residual from the public eager ops."""
+    y = x
+    for spec in block_layer_table(cfg):
+        lp = p.layers[spec.name]
+        if spec.kind == "depthwise":
+            y = ops.depthwise_conv(y, lp.kernel, stride=spec.stride)
+        else:
+            y = ops.pointwise_conv(y, lp.kernel)
+        y = ops.batchnorm(y, lp.bn, training=False)
+        if spec.act:
+            y = ops.relu6(y)
+    return ops.eltadd(y, x) if cfg.use_residual else y
+
+
+class TestInPlaceEpilogue:
+    """With grad disabled, each layer's batch norm and ReLU6 overwrite its
+    conv output. The bytes must equal the recording tape's and the eager
+    primitive chain's, and nothing the caller passed may change."""
+
+    @staticmethod
+    def _random_statistics(p, rng):
+        for _, lp in p:
+            c = lp.bn.channels
+            lp.bn.gamma[...] = rng.normal(1.0, 0.3, c)
+            lp.bn.beta[...] = rng.normal(0.0, 1.0, c)
+            lp.bn.running_mean[...] = rng.normal(0.0, 1.0, c)
+            lp.bn.running_var[...] = rng.uniform(0.2, 3.0, c)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cfg", [
+        BlockConfig(6, 8, 2, 1, HBO),
+        BlockConfig(6, 8, 2, 2, HBO),
+        BlockConfig(6, 8, 2, 1, HBO, contraction_count=2),
+        BlockConfig(6, 12, 2, 2, HBO, contraction_count=2),
+        BlockConfig(6, 6, 3, 1, INV),
+        BlockConfig(6, 10, 3, 2, INV),
+    ], ids=["hbo-s1-k1", "hbo-s2-k1", "hbo-s1-k2", "hbo-s2-k2",
+            "invres-s1", "invres-s2"])
+    def test_grad_disabled_bytes_equal_tape_and_primitives(self, cfg, n):
+        rng = np.random.default_rng(cfg.c_out * 10 + cfg.stride + n)
+        p = init_block_params(cfg, rng)
+        self._random_statistics(p, rng)
+        x = rng.normal(size=(n, cfg.c_in, 12, 12))
+        before = [x.tobytes()] + [a.tobytes() for _, lp in p
+                                  for a in (lp.kernel.data, lp.bn.gamma,
+                                            lp.bn.beta, lp.bn.running_mean,
+                                            lp.bn.running_var)]
+        if cfg.kind is HBO:
+            fwd, node_fwd = harmonious_bottleneck_forward, hbo_forward_node
+            compose = compose_hbo_from_primitives
+        else:
+            fwd, node_fwd = (inverted_residual_forward,
+                             inverted_residual_forward_node)
+            compose = compose_inverted_residual_from_primitives
+        got = fwd(Tensor(x), cfg, p).data
+        tape = Tape()
+        taped = node_fwd(tape.leaf(x, "x"), cfg, p, tape, training=False)
+        want = compose(Tensor(x), cfg, p).data
+        assert got.tobytes() == taped.value.tobytes() == want.tobytes()
+        after = [x.tobytes()] + [a.tobytes() for _, lp in p
+                                 for a in (lp.kernel.data, lp.bn.gamma,
+                                           lp.bn.beta, lp.bn.running_mean,
+                                           lp.bn.running_var)]
+        assert after == before
+
+    def test_out_rejected_on_a_recording_tape(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((1, 2, 3, 3)))
+        with pytest.raises(ValueError):
+            tape.relu6(x, _out=x.value)
+
+    def test_repeated_network_forward_is_stable(self):
+        net = build_network(hbonet_spec(width=0.25, divisor=2,
+                                        resolution=32, num_classes=3))
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 32, 32)))
+        first = forward(net, x)
+        assert forward(net, x).tobytes() == first.tobytes()
 
 
 class TestWidestIntermediate:

@@ -1,12 +1,15 @@
 """Optimized neural ops: hand-computed cases, oracle equivalence, and
 algebraic laws."""
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hbonet import ops
-from hbonet.autodiff import Tape
+from hbonet.autodiff import Tape, backward
+from hbonet.network import build_network, forward, hbonet_spec
 from hbonet.ops import BatchNormParams
 from hbonet.tensor import (
     ConvKernel,
@@ -16,6 +19,7 @@ from hbonet.tensor import (
     conv2d_oracle,
     tensor_equal_within,
 )
+from hbonet.train import ToyConfig, make_synthetic_dataset, train_toy
 
 
 class TestDepthwiseConv:
@@ -279,6 +283,30 @@ class TestBatchNorm:
                           BatchNormParams.identity(2))
 
 
+@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("shape", [(1, 5, 16, 16), (2, 5, 4, 4)],
+                         ids=["long-rows", "short-rows"])
+def test_epilogue_kernels_equal_their_formulas(shape, in_place):
+    """The folded batch norm and ReLU6 give the bytes of x * scale + shift
+    and min(max(x, 0), 6), into a fresh array or over their input."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(0.0, 4.0, size=shape)
+    c = shape[1]
+    mean, var = rng.normal(size=c), rng.uniform(0.2, 3.0, c)
+    gamma, beta = rng.normal(1.0, 0.3, c), rng.normal(size=c)
+    scale = gamma / np.sqrt(var + 1e-5)
+    shift = beta - mean * scale
+    bn_want = x * scale[None, :, None, None] + shift[None, :, None, None]
+    relu_want = np.minimum(np.maximum(bn_want, 0.0), 6.0)
+    buf = x.copy()
+    out = buf if in_place else None
+    bn = ops._bn_affine_nd(buf, mean, var, gamma, beta, 1e-5, out=out)
+    assert bn.tobytes() == bn_want.tobytes()
+    relu = ops._relu6_nd(bn, out=out)
+    assert relu.tobytes() == relu_want.tobytes()
+    assert (relu is buf) == in_place
+
+
 class TestBilinearUpsample:
     def test_factor_one_identity(self):
         rng = np.random.default_rng(8)
@@ -397,3 +425,70 @@ def test_concat_take_first_round_trip(ca, cb, n, hw):
     cat = ops.concat_channels(a, b)
     assert tensor_equal_within(ops.take_first_channels(cat, ca), a, 0.0)
     assert cat.c == ca + cb
+
+
+@contextmanager
+def _caller_bufsize(size):
+    """Run the body as a caller that set its own ufunc buffer size."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+class TestUfuncBufferScope:
+    """The kernels shrink numpy's ufunc buffer only inside ``ops._sweep``:
+    the caller's size is back afterwards, even when a kernel raises, and no
+    value depends on the caller's size."""
+
+    CALLER = 4096   # not numpy's default, so a reset to the default shows
+
+    @staticmethod
+    def _toy_net():
+        return build_network(hbonet_spec(width=0.25, divisor=2,
+                                         resolution=32, num_classes=3))
+
+    def test_forward_restores_caller_bufsize(self):
+        net = self._toy_net()
+        x = np.random.default_rng(0).normal(size=(1, 3, 32, 32))
+        with _caller_bufsize(self.CALLER):
+            forward(net, Tensor(x))
+            assert np.getbufsize() == self.CALLER
+
+    def test_train_step_restores_caller_bufsize(self):
+        net = self._toy_net()
+        images, labels = make_synthetic_dataset(4, 1, 32, 0.3)
+        with _caller_bufsize(self.CALLER):
+            tape = Tape()
+            logits = net.forward_node(tape.leaf(images, "input"), tape,
+                                      training=True)
+            backward(tape, tape.label_smooth_ce(logits, labels, 0.1))
+            assert np.getbufsize() == self.CALLER
+
+    def test_raising_scope_restores_caller_bufsize(self):
+        x = np.ones((1, 2, 16, 16))
+        stats = np.ones(2)
+        with _caller_bufsize(self.CALLER):
+            with pytest.raises(DimensionError):
+                with ops._sweep(x.shape[2] * x.shape[3]):
+                    assert np.getbufsize() == ops._SHORT_BUFSIZE
+                    raise DimensionError("raised inside the scope")
+            assert np.getbufsize() == self.CALLER
+            # numpy itself raising mid-kernel: an ``out`` of the wrong shape
+            with pytest.raises(ValueError):
+                ops._bn_affine_nd(x, stats, stats, stats, stats, 1e-5,
+                                  out=np.empty((1, 2, 16, 15)))
+            assert np.getbufsize() == self.CALLER
+
+    def test_values_do_not_depend_on_caller_bufsize(self):
+        net = self._toy_net()
+        x = np.random.default_rng(1).normal(size=(2, 3, 32, 32))
+        got = {}
+        for size in (16, 8192):
+            with _caller_bufsize(size):
+                logits = [forward(net, Tensor(x[:n])).tobytes()
+                          for n in (1, 2)]
+                log = train_toy(config=ToyConfig(num_samples=96), epochs=1)
+            got[size] = logits, [(r.loss.hex(), r.accuracy) for r in log]
+        assert got[16] == got[8192]
