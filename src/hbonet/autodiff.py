@@ -5,10 +5,13 @@ A :class:`Tape` records operations in topological order; each node stores its
 forward value (ndarray) and a vector-Jacobian closure. Forward values are
 computed by the same ndarray kernels as the eager ops, so taped and eager
 execution agree bitwise. With ``grad_enabled=False`` the tape computes values
-without recording, which is the inference path.
+without recording, which is the inference path. A :class:`ShapeTape` runs the
+same wiring on shapes alone; the network's ledger and shape trace come from
+that one symbolic run.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -18,7 +21,7 @@ from . import ops as _ops
 from .ops import BatchNormParams
 from .tensor import DimensionError
 
-__all__ = ["Node", "Tape", "backward", "finite_diff_check"]
+__all__ = ["Node", "Tape", "ShapeTape", "backward", "finite_diff_check"]
 
 
 class Node:
@@ -329,6 +332,85 @@ class Tape:
             return (float(g) * (softmax - target) / n,)
 
         return self._record(out, (logits,), vjp, "label_smooth_ce")
+
+
+class Shape:
+    """A :class:`ShapeTape` node value: the shape an array would have."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+
+
+class ShapeTape(Tape):
+    """Runs forward wiring on shapes instead of arrays, grad disabled: a
+    leaf keeps the value it is given (an array or a :class:`Shape`), and
+    every op returns a :class:`Shape` without computing anything.
+
+    Each conv opens a row ``[name, MACs per sample, out (c, h, w), in (h, w)]``
+    in ``rows``, named after its weight leaf without ``.weight``; each leaf
+    adds its size to ``params[prefix]``, so weights, batch-norm affines and
+    biases all count towards the row of their name. Only the ops a network
+    forward runs are overridden.
+    """
+
+    def __init__(self):
+        super().__init__(grad_enabled=False)
+        self.rows: list[list] = []
+        self.params: dict[str, int] = {}
+
+    def _node(self, shape, name) -> Node:
+        return Node(Shape(shape), (), None, name, self)
+
+    def leaf(self, value, name: str = "leaf") -> Node:
+        prefix = name.rpartition(".")[0]
+        self.params[prefix] = self.params.get(prefix, 0) + math.prod(value.shape)
+        return Node(value, (), None, name, self)
+
+    def _conv(self, x, w, c, k, stride, pad, name) -> Node:
+        n, _, h, wd = x.value.shape
+        oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+        macs = c * oh * ow * math.prod(w.value.shape[1:])
+        self.rows.append([w.name.rpartition(".")[0], macs, (c, oh, ow), (h, wd)])
+        return self._node((n, c, oh, ow), name)
+
+    def conv2d(self, x, w, stride=1, pad=0):
+        co, _, k, _ = w.value.shape
+        return self._conv(x, w, co, k, stride, pad, "conv2d")
+
+    def depthwise_conv(self, x, w, stride=1):
+        c, k, _ = w.value.shape
+        return self._conv(x, w, c, k, stride, (k - 1) // 2, "depthwise_conv")
+
+    def pointwise_conv(self, x, w):
+        return self._conv(x, w, w.value.shape[0], 1, 1, 0, "pointwise_conv")
+
+    def _same(self, x, *args, **kwargs):
+        return x
+
+    # the builder's wiring adds only equal shapes (checked by the real tape)
+    relu6 = batchnorm = add_bias = eltadd = _same
+
+    def bilinear_upsample(self, x, factor):
+        n, c, h, w = x.value.shape
+        return self._node((n, c, h * factor, w * factor), "bilinear_upsample")
+
+    def avgpool(self, x, kernel, stride):
+        n, c, h, w = x.value.shape
+        return self._node((n, c, (h - kernel) // stride + 1,
+                           (w - kernel) // stride + 1), "avgpool")
+
+    def concat_channels(self, a, b):
+        n, c, h, w = a.value.shape
+        return self._node((n, c + b.value.shape[1], h, w), "concat_channels")
+
+    def take_first_channels(self, x, m):
+        n, c, h, w = x.value.shape
+        return self._node((n, min(m, c), h, w), "take_first_channels")
+
+    def flatten_spatial(self, x):
+        return self._node(x.value.shape[:2], "flatten_spatial")
 
 
 def _bn_normalize(xv, mean, var, eps):

@@ -3,10 +3,11 @@ harmonious bottleneck (spatial contraction-expansion around a channel
 expansion-contraction body, with half the output channels copied from the
 input).
 
-Block structure is expressed once as a layer table; parameter construction,
-forward wiring, and the complexity ledger all consume that table, and the
-test suite pins the forward against a straight-line composition of the
-primitive ops.
+Block structure is expressed once as a layer table; parameter construction
+and the forward wiring consume that table. The complexity ledger consumes the
+forward wiring itself, run on shapes by the network builder, and the test
+suite pins the forward against a straight-line composition of the primitive
+ops.
 """
 from __future__ import annotations
 
@@ -142,24 +143,6 @@ class ConvLayerSpec:
         cpg = 1 if self.kind == "depthwise" else self.c_in
         return (self.c_out, cpg, self.kernel, self.kernel)
 
-    def param_count(self) -> int:
-        n = int(np.prod(self.weight_shape()))
-        if self.bn:
-            n += 2 * self.c_out
-        return n
-
-    def macs(self, h_in: int, w_in: int) -> int:
-        h_out = (h_in + 2 * self.pad - self.kernel) // self.stride + 1
-        w_out = (w_in + 2 * self.pad - self.kernel) // self.stride + 1
-        cpg = 1 if self.kind == "depthwise" else self.c_in
-        return h_out * w_out * self.c_out * cpg * self.kernel * self.kernel
-
-    def out_hw(self, h_in: int, w_in: int) -> tuple[int, int]:
-        return (
-            (h_in + 2 * self.pad - self.kernel) // self.stride + 1,
-            (w_in + 2 * self.pad - self.kernel) // self.stride + 1,
-        )
-
 
 @dataclass
 class LayerParams:
@@ -223,23 +206,26 @@ def block_layer_table(cfg: BlockConfig) -> tuple[ConvLayerSpec, ...]:
     return tuple(rows)
 
 
+def _init_layer(spec: ConvLayerSpec,
+                rng: np.random.Generator | None) -> LayerParams:
+    """Conv weights ~ N(0, 2/fan_out), or zeros without ``rng``; BN gamma 1
+    beta 0. The fresh weight array is wrapped, not copied."""
+    if rng is None:
+        w = np.zeros(spec.weight_shape())
+    else:
+        fan_out = spec.kernel * spec.kernel * spec.c_out // spec.groups
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_out), size=spec.weight_shape())
+    return LayerParams(ConvKernel._wrap(w, groups=spec.groups),
+                       BatchNormParams.identity(spec.c_out) if spec.bn else None)
+
+
 def init_block_params(cfg: BlockConfig, rng: np.random.Generator | None = None,
                       zero: bool = False) -> BlockParams:
     """Kaiming-style init: conv weights ~ N(0, 2/fan_out), BN gamma 1 beta 0."""
     if rng is None:
         rng = np.random.default_rng(0)
-    params = BlockParams()
-    for spec in block_layer_table(cfg):
-        shape = spec.weight_shape()
-        if zero:
-            w = np.zeros(shape)
-        else:
-            fan_out = spec.kernel * spec.kernel * spec.c_out // spec.groups
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_out), size=shape)
-        kern = ConvKernel(w, groups=spec.groups)
-        bn = BatchNormParams.identity(spec.c_out) if spec.bn else None
-        params.layers[spec.name] = LayerParams(kern, bn)
-    return params
+    return BlockParams({spec.name: _init_layer(spec, None if zero else rng)
+                        for spec in block_layer_table(cfg)})
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +256,12 @@ def _apply_layer(tape: Tape, x: Node, spec: ConvLayerSpec, lp: LayerParams,
     return y
 
 
-def _layer_map(cfg: BlockConfig) -> dict[str, ConvLayerSpec]:
-    return {s.name: s for s in block_layer_table(cfg)}
-
-
 def inverted_residual_forward_node(x: Node, cfg: BlockConfig, p: BlockParams,
                                    tape: Tape, training: bool = False,
                                    prefix: str = "") -> Node:
-    table = _layer_map(cfg)
     y = x
-    for name in ("expand_pw", "body_dw", "reduce_pw"):
-        if name not in table:
-            continue
-        y = _apply_layer(tape, y, table[name], p.layers[name], training, prefix)
+    for spec in block_layer_table(cfg):     # expand_pw (if t != 1), body, reduce
+        y = _apply_layer(tape, y, spec, p.layers[spec.name], training, prefix)
     if cfg.use_residual:
         y = tape.eltadd(y, x)
     return y
@@ -297,25 +276,22 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: BlockParams,
         raise ConfigError(
             f"input {h}x{w} not divisible by 2^{k} contraction"
         )
-    table = _layer_map(cfg)
+    table = {s.name: s for s in block_layer_table(cfg)}
 
-    y = _apply_layer(tape, x, table["contract_dw"], p.layers["contract_dw"],
-                     training, prefix)
-    body_in = y
+    def layer(y, name):
+        return _apply_layer(tape, y, table[name], p.layers[name], training, prefix)
+
+    y = body_in = layer(x, "contract_dw")
     for name in ("expand_pw", "body_dw", "reduce_pw"):
-        y = _apply_layer(tape, y, table[name], p.layers[name], training, prefix)
+        y = layer(y, name)
     if cfg.use_residual:
         y = tape.eltadd(y, tape.take_first_channels(body_in, cfg.main_width))
     for u in range(2, k + 1):
-        y = _apply_layer(tape, y, table[f"casc{u}_dw"],
-                         p.layers[f"casc{u}_dw"], training, prefix)
-        y = _apply_layer(tape, y, table[f"casc{u}_pw"],
-                         p.layers[f"casc{u}_pw"], training, prefix)
+        y = layer(layer(y, f"casc{u}_dw"), f"casc{u}_pw")
     factor = 2 ** k if cfg.stride == 1 else 2 ** (k - 1)
     if factor > 1:
         y = tape.bilinear_upsample(y, factor)
-    y = _apply_layer(tape, y, table["smooth_dw"], p.layers["smooth_dw"],
-                     training, prefix)
+    y = layer(y, "smooth_dw")
 
     short = x if cfg.stride == 1 else tape.avgpool(x, 2, 2)
     short = tape.take_first_channels(short, cfg.shortcut_width)

@@ -1,14 +1,19 @@
 """Analytic Multiply-Adds and parameter ledger.
 
+The ledger and the shape trace are one symbolic run of the forward: the
+network builder runs each unit on a :class:`~hbonet.autodiff.ShapeTape`,
+which records a row per executed convolution (a zero row for the global
+pool), and :func:`ledger` reads those rows.
+
 Counting convention: convolution multiply-adds only. Normalization,
-activation, pooling, bilinear upsampling, elementwise add, and concatenation
-cost zero; bias terms are neglected. Counts are exact integers; MFLOPs is the
-total divided by 10^6 and rounded to the nearest integer.
+activation, pooling, bilinear upsampling, elementwise add, concatenation and
+bias adds cost zero; every parameter (conv weights, batch-norm affines, the
+classifier bias) counts. Counts are exact integers; MFLOPs is the total
+divided by 10^6 and rounded to the nearest integer.
 """
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from io import TextIOBase
 
@@ -90,25 +95,15 @@ def cost_hbo(B: int, h: int, w: int, c1: int, c2: int, k: int, s: int) -> int:
     return B // (s * s) + ((h // s) * (w // s) * c1 + h * w * c2) * k * k
 
 
-def ledger(net: Network, resolution: int | None = None) -> CostLedger:
-    """Per-layer and total Multiply-Adds/parameters for a built network.
+def ledger(net: Network) -> CostLedger:
+    """Per-layer and total Multiply-Adds/parameters for a built network,
+    read from the builder's symbolic run of its forward.
 
     Counts are per sample (batch-size invariant).
     """
-    if resolution is None:
-        resolution = net.spec.input_resolution
-    if resolution != net.spec.input_resolution:
-        raise ConfigError(
-            f"network built for resolution {net.spec.input_resolution}, "
-            f"cannot account for {resolution}"
-        )
-    rows: list[LedgerRow] = []
-    c, h, w = 3, resolution, resolution
-    for unit in net.units:
-        for name, macs, params, out_shape in unit.ledger_rows(c, h, w):
-            rows.append(LedgerRow(name, int(macs), int(params), out_shape))
-        c, h, w = unit.out_shape(c, h, w)
-    return CostLedger(net.spec.name, resolution, tuple(rows))
+    rows = tuple(LedgerRow(name, macs, params, out)
+                 for name, macs, params, out, _ in net.rows)
+    return CostLedger(net.spec.name, net.spec.input_resolution, rows)
 
 
 def write_ledger_csv(led: CostLedger, fp: TextIOBase) -> None:

@@ -1,6 +1,7 @@
 """Finite-difference verification of every differentiable operation and of
-the full blocks. Analytic gradients come from the tape; numeric evaluation
-goes through the eager public ops, so the two routes stay independent.
+the full blocks. Analytic gradients come from the tape's VJPs; numeric
+evaluation runs the same forward kernels on a grad-disabled ``Tape`` and
+never calls a VJP, so the two routes stay independent.
 """
 from __future__ import annotations
 

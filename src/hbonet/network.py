@@ -1,6 +1,12 @@
 """Declarative network builder: a stage table (operator, t, c, n, s) plus a
-width multiplier and input resolution become a runnable network with exact
-shape tracing.
+width multiplier and input resolution become a runnable network.
+
+The builder runs each unit's forward wiring once on a
+:class:`~hbonet.autodiff.ShapeTape` as it appends the unit. That one symbolic
+run gives every unit's output shape, which sizes the next unit, and one
+record per convolution (MACs, parameters, input and output shape); the
+complexity ledger, :func:`trace_shapes` and :meth:`Network.conv_layers` read
+those records.
 
 Canonical stage tables ship as JSON documents under ``hbonet/specs``; the CLI
 presets and the builder convenience constructors read them from there.
@@ -13,22 +19,20 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import Node, Shape, ShapeTape, Tape
 from .blocks import (
     BlockConfig,
     BlockKind,
-    BlockParams,
     ConfigError,
     ConvLayerSpec,
-    LayerParams,
     _apply_layer,
+    _init_layer,
     block_layer_table,
     hbo_forward_node,
     init_block_params,
     inverted_residual_forward_node,
     make_divisible,
 )
-from .ops import BatchNormParams
 from .tensor import ConvKernel, Tensor
 
 __all__ = [
@@ -185,6 +189,9 @@ def mobilenetv2_spec(width: float = 1.0, resolution: int = 224,
 # network units
 # ---------------------------------------------------------------------------
 
+# Each unit maps the ledger row name of every convolution it runs to that
+# convolution's layer-table row, in ``specs``.
+
 class ConvUnit:
     """A standalone convolution (stem, projections, head)."""
 
@@ -193,33 +200,14 @@ class ConvUnit:
         self.name = name
         self.stage = stage
         self.spec = spec
-        if rng is None:
-            w = np.zeros(spec.weight_shape())
-        else:
-            fan_out = spec.kernel * spec.kernel * spec.c_out // spec.groups
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_out), size=spec.weight_shape())
-        self.params = LayerParams(
-            ConvKernel(w, groups=spec.groups),
-            BatchNormParams.identity(spec.c_out) if spec.bn else None,
-        )
+        self.specs = {name: spec}
+        self.params = _init_layer(spec, rng)
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
         return _apply_layer(tape, x, self.spec, self.params, training)
 
-    def out_shape(self, c: int, h: int, w: int) -> tuple[int, int, int]:
-        oh, ow = self.spec.out_hw(h, w)
-        return self.spec.c_out, oh, ow
-
-    def ledger_rows(self, c, h, w):
-        oh, ow = self.spec.out_hw(h, w)
-        return [(self.name, self.spec.macs(h, w), self.spec.param_count(),
-                 (self.spec.c_out, oh, ow))]
-
     def named_params(self):
         yield self.name, self.params
-
-    def conv_layers(self, c, h, w):
-        yield self.name, self.spec, (h, w)
 
 
 class BlockUnit:
@@ -228,8 +216,11 @@ class BlockUnit:
         self.name = name
         self.stage = stage
         self.cfg = cfg
-        self.params = init_block_params(cfg, rng or np.random.default_rng(0),
-                                        zero=rng is None)
+        self.params = init_block_params(cfg, rng, zero=rng is None)
+
+    @property
+    def specs(self):
+        return {f"{self.name}.{s.name}": s for s in block_layer_table(self.cfg)}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
         fn = (hbo_forward_node if self.cfg.kind is BlockKind.HARMONIOUS_BOTTLENECK
@@ -237,41 +228,9 @@ class BlockUnit:
         return fn(x, self.cfg, self.params, tape, training,
                   prefix=f"{self.name}.")
 
-    def out_shape(self, c, h, w):
-        s = self.cfg.stride
-        return self.cfg.c_out, h // s, w // s
-
-    def _shape_walk(self, h, w):
-        """Mirror the forward wiring's spatial geometry per conv layer."""
-        cfg = self.cfg
-        if cfg.kind is BlockKind.INVERTED_RESIDUAL:
-            for spec in block_layer_table(cfg):
-                yield spec, (h, w)
-                h, w = spec.out_hw(h, w)
-            return
-        for spec in block_layer_table(cfg):
-            if spec.name == "smooth_dw":
-                f = 2 ** cfg.contraction_count if cfg.stride == 1 \
-                    else 2 ** (cfg.contraction_count - 1)
-                h, w = h * f, w * f
-            yield spec, (h, w)
-            h, w = spec.out_hw(h, w)
-
-    def ledger_rows(self, c, h, w):
-        rows = []
-        for spec, (hi, wi) in self._shape_walk(h, w):
-            oh, ow = spec.out_hw(hi, wi)
-            rows.append((f"{self.name}.{spec.name}", spec.macs(hi, wi),
-                         spec.param_count(), (spec.c_out, oh, ow)))
-        return rows
-
     def named_params(self):
         for lname, lp in self.params:
             yield f"{self.name}.{lname}", lp
-
-    def conv_layers(self, c, h, w):
-        for spec, (hi, wi) in self._shape_walk(h, w):
-            yield f"{self.name}.{spec.name}", spec, (hi, wi)
 
 
 class PoolUnit:
@@ -280,22 +239,13 @@ class PoolUnit:
     def __init__(self, name: str, stage: str):
         self.name = name
         self.stage = stage
-        self.params = None
+        self.specs = {}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
         k = x.value.shape[2]
         return tape.avgpool(x, k, k)
 
-    def out_shape(self, c, h, w):
-        return c, 1, 1
-
-    def ledger_rows(self, c, h, w):
-        return [(self.name, 0, 0, (c, 1, 1))]
-
     def named_params(self):
-        return iter(())
-
-    def conv_layers(self, c, h, w):
         return iter(())
 
 
@@ -306,8 +256,9 @@ class ClassifierUnit:
                  rng: np.random.Generator | None):
         self.name = name
         self.stage = stage
-        self.c_in = c_in
-        self.num_classes = num_classes
+        self.spec = ConvLayerSpec(name, "pointwise", c_in, num_classes,
+                                  1, 1, False, False)
+        self.specs = {name: self.spec}
         if rng is None:
             self.weight = np.zeros((num_classes, c_in))
         else:
@@ -321,26 +272,21 @@ class ClassifierUnit:
         y = tape.flatten_spatial(y)
         return tape.add_bias(y, tape.leaf(self.bias, f"{self.name}.bias"))
 
-    def out_shape(self, c, h, w):
-        return self.num_classes, 1, 1
-
-    def ledger_rows(self, c, h, w):
-        macs = h * w * self.c_in * self.num_classes
-        n_params = self.c_in * self.num_classes + self.num_classes
-        return [(self.name, macs, n_params, (self.num_classes, 1, 1))]
-
-    def conv_layers(self, c, h, w):
-        spec = ConvLayerSpec(self.name, "pointwise", self.c_in,
-                             self.num_classes, 1, 1, False, False)
-        yield self.name, spec, (h, w)
-
 
 class Network:
-    """Immutable-once-built layer list; parameters live in the units."""
+    """Immutable-once-built layer list; parameters live in the units.
 
-    def __init__(self, spec: NetworkSpec, units: list):
+    ``rows`` (one ``(name, macs, params, out (c, h, w), in (h, w))`` per
+    convolution, a zero row for the pool) and ``shapes`` (each unit's output
+    ``(c, h, w)``, logits as ``(k, 1, 1)``) are the builder's symbolic run.
+    """
+
+    def __init__(self, spec: NetworkSpec, units: list, rows: tuple,
+                 shapes: tuple):
         self.spec = spec
         self.units = units
+        self.rows = rows
+        self.shapes = shapes
 
     def forward_node(self, x: Node, tape: Tape, training: bool = False) -> Node:
         y = x
@@ -385,10 +331,10 @@ class Network:
 
     def conv_layers(self):
         """Every convolution with its input spatial dims at spec resolution."""
-        c, h, w = 3, self.spec.input_resolution, self.spec.input_resolution
-        for unit in self.units:
-            yield from unit.conv_layers(c, h, w)
-            c, h, w = unit.out_shape(c, h, w)
+        specs = {k: s for unit in self.units for k, s in unit.specs.items()}
+        for name, _, _, _, hw in self.rows:
+            if name in specs:
+                yield name, specs[name], hw
 
 
 def _cap_contraction(k: int, h: int, w: int) -> int:
@@ -403,56 +349,74 @@ def _cap_contraction(k: int, h: int, w: int) -> int:
 def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
     """Instantiate units from the stage table, validating shapes as we go.
 
-    ``init_weights=False`` builds with zero weights; enough for the ledger
-    and shape tracing, and much faster for wide networks.
+    Each unit's forward runs once on a :class:`ShapeTape` as it is appended;
+    its output shape sizes the next unit. ``init_weights=False`` builds with
+    zero weights; enough for the ledger and shape tracing, and much faster
+    for wide networks.
     """
-    if spec.input_resolution < 32:
-        raise ConfigError(f"input resolution {spec.input_resolution} too small")
+    res = spec.input_resolution
+    if res < 32:
+        raise ConfigError(f"input resolution {res} too small")
     rng = np.random.default_rng(spec.seed) if init_weights else None
     units: list = []
-    c, h, w = 3, spec.input_resolution, spec.input_resolution
-    counts: dict[str, int] = {}
+    shapes: list[tuple[int, int, int]] = []
+    tape = ShapeTape()
+    x = tape.leaf(Shape((1, 3, res, res)), "input")
 
+    def append(unit):
+        nonlocal x
+        hw = x.value.shape[2:]
+        first = len(tape.rows)
+        x = unit.forward_node(x, tape, training=False)
+        out = (*x.value.shape[1:], 1, 1)[:3]
+        if len(tape.rows) == first:     # no conv: the global pool
+            tape.rows.append([unit.name, 0, out, hw])
+        units.append(unit)
+        shapes.append(out)
+
+    counts: dict[str, int] = {}
     for i, st in enumerate(spec.stages):
         stage_name = _stage_name(st, counts)
+        if len(x.value.shape) != 4:
+            raise ConfigError(f"stage {i} ({stage_name}): no stage can "
+                              f"follow the classifier")
+        c = x.value.shape[1]
         if st.op == "conv3x3":
             cout = _scale_channels(st.c, spec, st.width_exempt)
             conv = ConvLayerSpec(stage_name, "dense", c, cout, 3, st.s, True, True)
-            units.append(ConvUnit(stage_name, stage_name, conv, rng))
+            append(ConvUnit(stage_name, stage_name, conv, rng))
         elif st.op in ("conv1x1", "conv1x1_linear"):
             cout = _scale_channels(st.c, spec, st.width_exempt)
             act = st.op == "conv1x1"
             conv = ConvLayerSpec(stage_name, "pointwise", c, cout, 1, 1, True, act)
-            units.append(ConvUnit(stage_name, stage_name, conv, rng))
+            append(ConvUnit(stage_name, stage_name, conv, rng))
         elif st.op in ("hbo", "inverted_residual"):
             cout = _scale_channels(st.c, spec, st.width_exempt)
-            hh, ww = h, w
             for r in range(st.n):
                 stride = st.s if r == 0 else 1
-                cin = c if r == 0 else cout
+                _, cin, h, w = x.value.shape
                 if st.op == "hbo":
-                    if hh % 2 or ww % 2:
+                    if h % 2 or w % 2:
                         raise ConfigError(
-                            f"stage {i} ({stage_name}): spatial {hh}x{ww} not "
+                            f"stage {i} ({stage_name}): spatial {h}x{w} not "
                             f"divisible by 2 for the contraction"
                         )
-                    k = _cap_contraction(spec.contraction_variant, hh, ww)
+                    k = _cap_contraction(spec.contraction_variant, h, w)
                     cfg = BlockConfig(cin, cout, st.t, stride,
                                       BlockKind.HARMONIOUS_BOTTLENECK,
                                       contraction_count=k)
                 else:
                     cfg = BlockConfig(cin, cout, st.t, stride,
                                       BlockKind.INVERTED_RESIDUAL)
-                units.append(BlockUnit(f"{stage_name}_{r + 1}", stage_name,
-                                       cfg, rng))
-                hh, ww = hh // stride, ww // stride
+                append(BlockUnit(f"{stage_name}_{r + 1}", stage_name, cfg, rng))
         elif st.op == "avgpool":
-            units.append(PoolUnit(stage_name, stage_name))
+            append(PoolUnit(stage_name, stage_name))
         elif st.op == "classifier":
-            units.append(ClassifierUnit(stage_name, stage_name, c,
-                                        spec.num_classes, rng))
-        c, h, w = _stage_out_shape(units, st, c, h, w)
-    return Network(spec, units)
+            append(ClassifierUnit(stage_name, stage_name, c,
+                                  spec.num_classes, rng))
+    rows = tuple((name, macs, tape.params.get(name, 0), out, hw)
+                 for name, macs, out, hw in tape.rows)
+    return Network(spec, units, rows, tuple(shapes))
 
 
 def _stage_name(st: StageSpec, counts: dict[str, int]) -> str:
@@ -464,13 +428,6 @@ def _stage_name(st: StageSpec, counts: dict[str, int]) -> str:
         return f"{base}{counts[base]}"
     counts[base] = counts.get(base, 0) + 1
     return base if counts[base] == 1 else f"{base}{counts[base]}"
-
-
-def _stage_out_shape(units, st, c, h, w):
-    if st.op in ("hbo", "inverted_residual"):
-        cout = units[-1].cfg.c_out
-        return cout, h // st.s, w // st.s
-    return units[-1].out_shape(c, h, w)
 
 
 def build_hbonet(spec: NetworkSpec | None = None, **kwargs) -> Network:
@@ -500,22 +457,9 @@ def forward(net: Network, x: Tensor) -> np.ndarray:
     return out.value
 
 
-def trace_shapes(net: Network, resolution: int | None = None
-                 ) -> list[tuple[str, tuple[int, int, int]]]:
-    """Symbolic stage-level shape propagation; no activations allocated."""
-    if resolution is None:
-        resolution = net.spec.input_resolution
-    if resolution != net.spec.input_resolution:
-        raise ConfigError(
-            f"network built for resolution {net.spec.input_resolution}, "
-            f"cannot trace {resolution}"
-        )
-    rows: list[tuple[str, tuple[int, int, int]]] = []
-    c, h, w = 3, resolution, resolution
-    for unit in net.units:
-        c, h, w = unit.out_shape(c, h, w)
-        if rows and rows[-1][0] == unit.stage:
-            rows[-1] = (unit.stage, (c, h, w))
-        else:
-            rows.append((unit.stage, (c, h, w)))
-    return rows
+def trace_shapes(net: Network) -> list[tuple[str, tuple[int, int, int]]]:
+    """Each stage's output (c, h, w), from the builder's symbolic run."""
+    column: dict[str, tuple[int, int, int]] = {}
+    for unit, shape in zip(net.units, net.shapes):
+        column[unit.stage] = shape      # a stage's last unit sets its output
+    return list(column.items())

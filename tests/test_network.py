@@ -1,5 +1,8 @@
 """Network builder: stage-table ingestion, shape tracing, width scaling,
-and inference behavior."""
+inference behavior, and the ledger and shape trace checked against what the
+forward executes."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,11 @@ from hypothesis import strategies as st
 
 from hbonet.autodiff import Tape
 from hbonet.blocks import ConfigError, make_divisible
+from hbonet.complexity import ledger
 from hbonet.network import (
+    SUPPORTED_WIDTHS,
     NetworkSpec,
+    StageSpec,
     build_hbonet,
     build_mobilenetv2,
     build_network,
@@ -49,11 +55,6 @@ class TestTrace:
             net = build_network(hbonet_spec(width=width), init_weights=False)
             rows = dict(trace_shapes(net))
             assert rows["head"][1:] == (224 // 32, 224 // 32)
-
-    def test_trace_rejects_other_resolution(self):
-        net = build_network(hbonet_spec(width=0.25), init_weights=False)
-        with pytest.raises(ConfigError):
-            trace_shapes(net, 192)
 
 
 class TestWidthScaling:
@@ -118,19 +119,6 @@ class TestForward:
         net = build_hbonet(width=0.25, resolution=96)
         with pytest.raises(ConfigError):
             forward(net, Tensor.zeros(1, 3, 64, 64))
-
-    def test_trace_agrees_with_executed_shapes(self):
-        net = build_hbonet(width=0.35, resolution=96, num_classes=7)
-        tape = Tape(grad_enabled=False)
-        x = tape.leaf(np.random.default_rng(4).normal(size=(1, 3, 96, 96)))
-        c, h, w = 3, 96, 96
-        for unit in net.units:
-            x = unit.forward_node(x, tape, training=False)
-            c, h, w = unit.out_shape(c, h, w)
-            if x.value.ndim == 4:
-                assert x.value.shape == (1, c, h, w), unit.name
-            else:
-                assert x.value.shape == (1, c)
 
 
 _JSON = st.recursive(
@@ -198,6 +186,15 @@ class TestStageTableIO:
             load_stage_table({"format_version": version,
                               "stages": [{"op": "avgpool"}]})
 
+    def test_stage_after_classifier_rejected(self):
+        doc = {"format_version": 1, "stages": [
+            {"op": "conv3x3", "c": 8, "s": 2}, {"op": "avgpool"},
+            {"op": "classifier"}, {"op": "conv1x1", "c": 8},
+        ]}
+        name, stages = load_stage_table(doc)
+        with pytest.raises(ConfigError, match="stage 3"):
+            build_network(NetworkSpec(name, stages, input_resolution=32))
+
     def test_custom_table_builds(self):
         doc = {"format_version": 1, "name": "mini", "stages": [
             {"op": "conv3x3", "c": 8, "n": 1, "s": 2},
@@ -261,3 +258,119 @@ class TestParameters:
         b = build_hbonet(width=0.25, resolution=96, seed=5).parameters()
         for k in a:
             assert np.array_equal(a[k], b[k])
+
+
+# ---------------------------------------------------------------------------
+# differential test: ledger and shape trace against the executed forward
+# ---------------------------------------------------------------------------
+
+class CountingTape(Tape):
+    """A recording tape that runs the real kernels and notes each executed
+    conv as (row name, MACs per sample, output (c, h, w)), from its operand
+    shapes alone."""
+
+    def __init__(self):
+        super().__init__(grad_enabled=True)
+        self.convs = []
+
+    def _count(self, w, y):
+        n, c, h, wd = y.value.shape
+        macs = c * h * wd * math.prod(w.value.shape[1:])
+        self.convs.append((w.name.rpartition(".")[0], macs, (c, h, wd)))
+        return y
+
+    def conv2d(self, x, w, stride=1, pad=0):
+        return self._count(w, super().conv2d(x, w, stride, pad))
+
+    def depthwise_conv(self, x, w, stride=1):
+        return self._count(w, super().depthwise_conv(x, w, stride))
+
+    def pointwise_conv(self, x, w):
+        return self._count(w, super().pointwise_conv(x, w))
+
+
+def _chw(shape):
+    """(n, c, h, w) -> (c, h, w); the classifier's (n, k) -> (k, 1, 1)."""
+    return (*shape[1:], 1, 1)[:3]
+
+
+@st.composite
+def _valid_stages(draw, res):
+    """A stage table that builds at ``res``: every HBO block sees an even
+    map, a classifier only follows the global pool."""
+    h = res
+    stages = []
+    for i in range(draw(st.integers(1, 5))):
+        op = draw(st.sampled_from(["conv3x3", "hbo", "inverted_residual",
+                                   "conv1x1", "conv1x1_linear"]))
+        n, s = draw(st.integers(1, 2)), draw(st.sampled_from([1, 2]))
+        if op == "hbo" and h % 2:
+            op = "inverted_residual"
+        if op == "hbo" and (h // s) % 2 and n > 1:
+            s = 1
+        c = 2 * draw(st.integers(1, 12))
+        t = draw(st.integers(1, 4)) if op in ("hbo", "inverted_residual") else None
+        stages.append(StageSpec(op, t, c, n, s, draw(st.booleans())))
+        if op in ("conv3x3", "inverted_residual"):
+            h = (h - 1) // s + 1
+        elif op == "hbo":
+            h //= s
+    tail = draw(st.sampled_from([(), ("avgpool",), ("avgpool", "classifier")]))
+    return tuple(stages) + tuple(StageSpec(op) for op in tail)
+
+
+@st.composite
+def _network_specs(draw):
+    preset = draw(st.sampled_from(["hbonet", "mobilenetv2", None]))
+    if preset == "hbonet":   # its six HBO stages need res % 32 == 0
+        res = draw(st.sampled_from([32, 64, 96, 128]))
+    else:
+        res = draw(st.integers(32, 128))
+    if preset is None:
+        name, stages = "custom", draw(_valid_stages(res))
+    else:
+        name, stages = load_stage_table(preset_stage_table(preset))
+    return NetworkSpec(name, stages, width=draw(st.sampled_from(SUPPORTED_WIDTHS)),
+                       divisor=draw(st.sampled_from([2, 4, 8])),
+                       input_resolution=res,
+                       num_classes=draw(st.integers(1, 10)),
+                       contraction_variant=draw(st.integers(1, 3)),
+                       seed=draw(st.integers(0, 3)))
+
+
+class TestExecutedGeometry:
+    """Differential test (McKeeman 1998): the ledger, the builder's walk and
+    ``trace_shapes`` each against what a real forward executes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_network_specs(), n=st.integers(1, 2))
+    def test_ledger_and_trace_follow_the_executed_forward(self, spec, n):
+        net = build_network(spec)
+        res = spec.input_resolution
+        x = np.random.default_rng(spec.seed).normal(size=(n, 3, res, res))
+        tape = CountingTape()
+        node = tape.leaf(x, "input")
+        executed = []
+        for unit in net.units:
+            node = unit.forward_node(node, tape, training=False)
+            executed.append(_chw(node.value.shape))
+
+        led = ledger(net)
+        assert tape.convs == [(r.name, r.macs, r.out_shape)
+                              for r in led.rows if r.macs]
+        sizes: dict[str, int] = {}
+        for pname, value in net.parameters().items():
+            prefix = pname.rpartition(".")[0]
+            sizes[prefix] = sizes.get(prefix, 0) + value.size
+        assert sizes == {r.name: r.params for r in led.rows if r.params}
+
+        assert list(net.shapes) == executed
+        column = {unit.stage: shape for unit, shape in zip(net.units, executed)}
+        assert trace_shapes(net) == list(column.items())
+
+        disabled = Tape(grad_enabled=False)
+        plain = net.forward_node(disabled.leaf(x, "input"), disabled).value
+        eager = forward(net, Tensor(x))
+        for other in (plain, eager):
+            assert other.shape == node.value.shape
+            assert other.tobytes() == node.value.tobytes()
