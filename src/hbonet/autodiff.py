@@ -1,13 +1,17 @@
 """Reverse-mode differentiation over the op set, with a finite-difference
 verifier as the correctness oracle.
 
-A :class:`Tape` records operations in topological order; each node stores its
-forward value (ndarray) and a vector-Jacobian closure. Forward values are
-computed by the same ndarray kernels as the eager ops, so taped and eager
-execution agree bitwise. With ``grad_enabled=False`` the tape computes values
-without recording, which is the inference path. A :class:`ShapeTape` runs the
-same wiring on shapes alone; the network's ledger and shape trace come from
-that one symbolic run.
+The :class:`Tape` methods are the one description of each op. A method
+checks its operands with the op's shape rule, which raises the op's named
+error; computes the forward value with an ndarray kernel from
+:mod:`hbonet.ops`; and, with grad enabled, records a node holding that value
+and its vector-Jacobian closure, in topological order. With
+``grad_enabled=False`` the tape computes values without recording. That is
+the inference path, and the public Tensor ops in :mod:`hbonet.ops` and the
+block functions are their tape ops run this way (:func:`eager`), so eager
+and taped execution are one computation. A :class:`ShapeTape` runs the same
+wiring on shapes alone, taking each op's output shape from the same rule;
+the network's ledger and shape trace come from that one symbolic run.
 """
 from __future__ import annotations
 
@@ -18,10 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ops as _ops
-from .ops import BatchNormParams
-from .tensor import DimensionError
+from .tensor import DimensionError, Tensor, UnsupportedKernelError
 
-__all__ = ["Node", "Tape", "ShapeTape", "backward", "finite_diff_check"]
+__all__ = ["Node", "Tape", "ShapeTape", "backward", "eager",
+           "finite_diff_check"]
 
 
 class Node:
@@ -39,10 +43,110 @@ class Node:
 
     @property
     def shape(self):
-        return np.shape(self.value)
+        return self.value.shape
 
     def __repr__(self):
         return f"Node({self.name}, shape={self.shape})"
+
+
+# ---------------------------------------------------------------------------
+# shape rules, keyed below by Tape method: a rule takes the method's arguments
+# with each node replaced by its shape, raises the op's named error for a bad
+# operand and returns the output shape. The Tape method calls it as its input
+# check; ShapeTape returns its result.
+# ---------------------------------------------------------------------------
+
+def _conv2d_shape(x, w, stride=1, pad=0):
+    """Dense weights (o, c, kh, kw) or depthwise weights (c, kh, kw)."""
+    if stride < 1 or pad < 0:
+        raise ValueError(f"need stride >= 1 and pad >= 0, got stride {stride}, pad {pad}")
+    (n, c, h, wd), (kh, kw) = x, w[-2:]
+    if c != w[-3]:
+        raise DimensionError(f"input has {c} channels, kernel expects {w[-3]}")
+    if kh > h + 2 * pad or kw > wd + 2 * pad:
+        raise DimensionError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with pad {pad}")
+    return n, w[0], (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+
+
+def _depthwise_shape(x, w, stride=1):
+    """(c, k, k) weights, k odd, stride 1 or 2, pad (k-1)/2."""
+    if len(w) != 3 or w[1] != w[2] or w[1] % 2 == 0:
+        raise UnsupportedKernelError(f"depthwise kernel must be (c, k, k), k odd, got {w}")
+    if stride not in (1, 2):
+        raise ValueError(f"stride must be 1 or 2, got {stride}")
+    return _conv2d_shape(x, w, stride, (w[1] - 1) // 2)
+
+
+def _batchnorm_shape(x, gamma, beta, p, training=False):
+    if not (p.channels,) == gamma == beta == x[1:2]:
+        raise DimensionError(f"batchnorm has {p.channels} channels (gamma {gamma}, "
+                             f"beta {beta}), input {x[1]}")
+    return x
+
+
+def _upsample_shape(x, factor):
+    if factor < 1:
+        raise ValueError(f"factor must be >= 1, got {factor}")
+    n, c, h, w = x
+    return n, c, h * factor, w * factor
+
+
+def _avgpool_shape(x, kernel, stride):
+    if kernel < 1 or stride < 1:
+        raise ValueError("kernel and stride must be >= 1")
+    n, c, h, w = x
+    if kernel > h or kernel > w:
+        raise DimensionError(f"pool kernel {kernel} exceeds input {h}x{w}")
+    return n, c, (h - kernel) // stride + 1, (w - kernel) // stride + 1
+
+
+def _concat_shape(a, b):
+    n, c, h, w = a
+    if (n, h, w) != (b[0], b[2], b[3]):
+        raise DimensionError(f"concat mismatch: {a} vs {b}")
+    return n, c + b[1], h, w
+
+
+def _take_first_shape(x, m):
+    n, c, h, w = x
+    if not 1 <= m <= c:
+        raise DimensionError(f"cannot take {m} of {c} channels")
+    return n, m, h, w
+
+
+def _eltadd_shape(a, b):
+    if a != b:
+        raise DimensionError(f"eltadd mismatch: {a} vs {b}")
+    return a
+
+
+def _add_bias_shape(x, bias):
+    if len(x) != 2 or bias != x[1:]:
+        raise DimensionError(f"bias {bias} does not fit logits {x}")
+    return x
+
+
+def _flatten_shape(x):
+    if x[2:] != (1, 1):
+        raise DimensionError(f"flatten_spatial needs a 1x1 map, as a global pool "
+                             f"gives, got {x}")
+    return x[:2]
+
+
+_SHAPE_RULES = {
+    "conv2d": _conv2d_shape,
+    "depthwise_conv": _depthwise_shape,
+    "pointwise_conv": lambda x, w: _conv2d_shape(x, (*w, 1, 1)),   # (o, c) weights
+    "relu6": lambda x: x,
+    "batchnorm": _batchnorm_shape,
+    "bilinear_upsample": _upsample_shape,
+    "avgpool": _avgpool_shape,
+    "concat_channels": _concat_shape,
+    "take_first_channels": _take_first_shape,
+    "eltadd": _eltadd_shape,
+    "flatten_spatial": _flatten_shape,
+    "add_bias": _add_bias_shape,
+}
 
 
 class Tape:
@@ -73,8 +177,12 @@ class Tape:
     # -- taped operations ---------------------------------------------------
 
     def conv2d(self, x: Node, w: Node, stride: int = 1, pad: int = 0) -> Node:
-        """Dense (ungrouped) convolution; used by the network stem."""
+        """Convolution with zero padding: dense for (o, c, kh, kw) weights (the
+        stem), depthwise for (c, kh, kw) weights of any size and pad."""
+        _conv2d_shape(x.shape, w.shape, stride, pad)
         xv, wv = x.value, w.value
+        if wv.ndim == 3:
+            return self._depthwise(x, w, stride, pad, "conv2d")
         out = _ops._conv2d_nd(xv, wv, stride, pad)
         kh, kw = wv.shape[2], wv.shape[3]
 
@@ -97,10 +205,13 @@ class Tape:
         return self._record(out, (x, w), vjp, "conv2d")
 
     def depthwise_conv(self, x: Node, w: Node, stride: int = 1) -> Node:
-        """Depthwise conv; ``w`` holds (c, kh, kw) weights, pad (k-1)/2."""
+        """Depthwise conv; ``w`` holds (c, k, k) weights, k odd, pad (k-1)/2."""
+        _depthwise_shape(x.shape, w.shape, stride)
+        return self._depthwise(x, w, stride, (w.shape[1] - 1) // 2, "depthwise_conv")
+
+    def _depthwise(self, x: Node, w: Node, stride: int, pad: int, name: str) -> Node:
         xv, wv = x.value, w.value
-        k = wv.shape[1]
-        pad = (k - 1) // 2
+        kh, kw = wv.shape[1], wv.shape[2]
         out = _ops._depthwise_nd(xv, wv, stride, pad)
 
         def vjp(g):
@@ -109,7 +220,7 @@ class Tape:
             # padded (c, h, w, n) buffer, as the forward gathers.
             h, wd = xv.shape[2], xv.shape[3]
             oh, ow = g.shape[2], g.shape[3]
-            taps = _ops._depthwise_taps(k, k, stride, pad, h, wd, oh, ow)
+            taps = _ops._depthwise_taps(kh, kw, stride, pad, h, wd, oh, ow)
             n = xv.shape[0]
             xp = _ops._pad_nd(xv, pad)
             dw = np.zeros_like(wv)
@@ -133,10 +244,11 @@ class Tape:
             dx = dxt[:, pad:pad + h, pad:pad + wd].transpose(3, 0, 1, 2)
             return np.ascontiguousarray(dx), dw
 
-        return self._record(out, (x, w), vjp, "depthwise_conv")
+        return self._record(out, (x, w), vjp, name)
 
     def pointwise_conv(self, x: Node, w: Node) -> Node:
         """1x1 conv; ``w`` holds a (c_out, c_in) matrix."""
+        _conv2d_shape(x.shape, (*w.shape, 1, 1))
         xv, wv = x.value, w.value
         out = _ops._pointwise_nd(xv, wv)
 
@@ -148,9 +260,9 @@ class Tape:
         return self._record(out, (x, w), vjp, "pointwise_conv")
 
     def relu6(self, x: Node, *, _out: np.ndarray | None = None) -> Node:
-        """min(max(x, 0), 6). ``_out`` (grad disabled only) receives the
-        value, so a caller that owns ``x.value`` can pass it and skip an
-        allocation."""
+        """min(max(x, 0), 6), any shape. ``_out`` (grad disabled only)
+        receives the value, so a caller that owns ``x.value`` can pass it
+        and skip an allocation."""
         self._check_out(_out)
         xv = x.value
         out = _ops._relu6_nd(xv, out=_out)
@@ -162,16 +274,17 @@ class Tape:
 
         return self._record(out, (x,), vjp, "relu6")
 
-    def batchnorm(self, x: Node, gamma: Node, beta: Node, p: BatchNormParams,
-                  training: bool = False, *,
+    def batchnorm(self, x: Node, gamma: Node, beta: Node,
+                  p: _ops.BatchNormParams, training: bool = False, *,
                   _out: np.ndarray | None = None) -> Node:
-        """Per-channel batch norm; ``_out`` as in :meth:`relu6`."""
+        """Per-channel batch norm; ``_out`` as in :meth:`relu6`. Training
+        mode normalizes by batch statistics (biased variance) and updates
+        ``p``'s running stats in place, running <- (1 - momentum)*running +
+        momentum*batch; inference mode folds the running statistics into
+        x * scale + shift."""
         self._check_out(_out)
+        _batchnorm_shape(x.shape, gamma.shape, beta.shape, p)
         xv, gv, bv = x.value, gamma.value, beta.value
-        if p.channels != xv.shape[1]:
-            raise DimensionError(
-                f"batchnorm has {p.channels} channels, input {xv.shape[1]}"
-            )
         if training:
             mean = xv.mean(axis=(0, 2, 3))
             var = xv.var(axis=(0, 2, 3))
@@ -182,7 +295,6 @@ class Tape:
                 out = np.multiply(gv[None, :, None, None], norm[1], out=_out)
                 out += bv[None, :, None, None]
         else:
-            # the eager op's folded kernel, so eager and taped agree bitwise;
             # the VJP normalizes by the same statistics, only when it runs,
             # so only a recorded node keeps a copy of them
             stats = (p.running_mean, p.running_var)
@@ -216,16 +328,25 @@ class Tape:
         return self._record(out, (x, gamma, beta), vjp, "batchnorm")
 
     def bilinear_upsample(self, x: Node, factor: int) -> Node:
+        """Separable bilinear interpolation by an integer factor, with
+        half-pixel centers: source coordinate (dst + 0.5)/factor - 0.5,
+        clamped to borders. Factor 1 is an exact identity."""
+        _upsample_shape(x.shape, factor)
         xv = x.value
         out = _ops._upsample_nd(xv, factor)
         h, w = xv.shape[2], xv.shape[3]
 
         def vjp(g):
-            return (_ops._upsample_transpose_nd(g, factor, h, w),)
+            if factor == 1:
+                return (g,)
+            uh, uw = _ops._bilinear_matrix(h, factor), _ops._bilinear_matrix(w, factor)
+            return ((uh.T[None, None] @ g) @ uw[None, None],)
 
         return self._record(out, (x,), vjp, "bilinear_upsample")
 
     def avgpool(self, x: Node, kernel: int, stride: int) -> Node:
+        """Average pooling without padding."""
+        _avgpool_shape(x.shape, kernel, stride)
         xv = x.value
         out = _ops._avgpool_nd(xv, kernel, stride)
 
@@ -241,6 +362,7 @@ class Tape:
         return self._record(out, (x,), vjp, "avgpool")
 
     def concat_channels(self, a: Node, b: Node) -> Node:
+        _concat_shape(a.shape, b.shape)
         ca = a.value.shape[1]
         out = np.concatenate([a.value, b.value], axis=1)
 
@@ -250,6 +372,7 @@ class Tape:
         return self._record(out, (a, b), vjp, "concat_channels")
 
     def take_first_channels(self, x: Node, m: int) -> Node:
+        _take_first_shape(x.shape, m)
         xv = x.value
         out = xv[:, :m].copy()
 
@@ -261,10 +384,7 @@ class Tape:
         return self._record(out, (x,), vjp, "take_first_channels")
 
     def eltadd(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise DimensionError(
-                f"eltadd mismatch: {a.value.shape} vs {b.value.shape}"
-            )
+        _eltadd_shape(a.shape, b.shape)
         out = a.value + b.value
 
         def vjp(g):
@@ -275,8 +395,7 @@ class Tape:
     def flatten_spatial(self, x: Node) -> Node:
         """(n, c, 1, 1) -> (n, c) for the classifier head."""
         xv = x.value
-        n, c = xv.shape[0], xv.shape[1]
-        out = xv.reshape(n, c).copy()
+        out = xv.reshape(_flatten_shape(x.shape)).copy()
 
         def vjp(g):
             return (g.reshape(xv.shape),)
@@ -285,6 +404,7 @@ class Tape:
 
     def add_bias(self, x: Node, bias: Node) -> Node:
         """Row-vector bias over (n, k) logits."""
+        _add_bias_shape(x.shape, bias.shape)
         out = x.value + bias.value[None, :]
 
         def vjp(g):
@@ -334,6 +454,16 @@ class Tape:
         return self._record(out, (logits,), vjp, "label_smooth_ce")
 
 
+def eager(fn, *args, **kwargs) -> Tensor:
+    """``fn(tape, *args, **kwargs)`` on a fresh grad-disabled tape, each
+    Tensor or ndarray argument a leaf, as a Tensor: how the public ops run
+    their Tape method and the block functions their forward wiring."""
+    tape = Tape(grad_enabled=False)
+    args = [tape.leaf(a.data if isinstance(a, Tensor) else a)
+            if isinstance(a, (Tensor, np.ndarray)) else a for a in args]
+    return Tensor._wrap(fn(tape, *args, **kwargs).value)
+
+
 class Shape:
     """A :class:`ShapeTape` node value: the shape an array would have."""
 
@@ -346,13 +476,13 @@ class Shape:
 class ShapeTape(Tape):
     """Runs forward wiring on shapes instead of arrays, grad disabled: a
     leaf keeps the value it is given (an array or a :class:`Shape`), and
-    every op returns a :class:`Shape` without computing anything.
+    each op that a network forward runs returns the :class:`Shape` its
+    shape rule gives, raising the rule's error, and computes nothing.
 
     Each conv opens a row ``[name, MACs per sample, out (c, h, w), in (h, w)]``
     in ``rows``, named after its weight leaf without ``.weight``; each leaf
     adds its size to ``params[prefix]``, so weights, batch-norm affines and
-    biases all count towards the row of their name. Only the ops a network
-    forward runs are overridden.
+    biases all count towards the row of their name.
     """
 
     def __init__(self):
@@ -360,57 +490,36 @@ class ShapeTape(Tape):
         self.rows: list[list] = []
         self.params: dict[str, int] = {}
 
-    def _node(self, shape, name) -> Node:
-        return Node(Shape(shape), (), None, name, self)
-
     def leaf(self, value, name: str = "leaf") -> Node:
         prefix = name.rpartition(".")[0]
         self.params[prefix] = self.params.get(prefix, 0) + math.prod(value.shape)
         return Node(value, (), None, name, self)
 
-    def _conv(self, x, w, c, k, stride, pad, name) -> Node:
-        n, _, h, wd = x.value.shape
-        oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
-        macs = c * oh * ow * math.prod(w.value.shape[1:])
-        self.rows.append([w.name.rpartition(".")[0], macs, (c, oh, ow), (h, wd)])
-        return self._node((n, c, oh, ow), name)
 
-    def conv2d(self, x, w, stride=1, pad=0):
-        co, _, k, _ = w.value.shape
-        return self._conv(x, w, co, k, stride, pad, "conv2d")
+def _symbolic_op(name: str, rule):
+    """The ShapeTape method of op ``name``: its rule's shape, plus a row for
+    each conv."""
+    conv = name in ("conv2d", "depthwise_conv", "pointwise_conv")
 
-    def depthwise_conv(self, x, w, stride=1):
-        c, k, _ = w.value.shape
-        return self._conv(x, w, c, k, stride, (k - 1) // 2, "depthwise_conv")
+    def op(self, *args, _out=None, **kwargs):
+        x = args[0]
+        shape = rule(*[a.value.shape if isinstance(a, Node) else a for a in args],
+                     **kwargs)
+        if shape is x.value.shape:   # the operand's own shape: reuse its node
+            return x
+        if conv:
+            w = args[1]
+            macs = math.prod(shape[1:]) * math.prod(w.value.shape[1:])
+            self.rows.append([w.name.rpartition(".")[0], macs, shape[1:],
+                              x.value.shape[2:]])
+        return Node(Shape(shape), (), None, name, self)
 
-    def pointwise_conv(self, x, w):
-        return self._conv(x, w, w.value.shape[0], 1, 1, 0, "pointwise_conv")
+    op.__name__ = name
+    return op
 
-    def _same(self, x, *args, **kwargs):
-        return x
 
-    # the builder's wiring adds only equal shapes (checked by the real tape)
-    relu6 = batchnorm = add_bias = eltadd = _same
-
-    def bilinear_upsample(self, x, factor):
-        n, c, h, w = x.value.shape
-        return self._node((n, c, h * factor, w * factor), "bilinear_upsample")
-
-    def avgpool(self, x, kernel, stride):
-        n, c, h, w = x.value.shape
-        return self._node((n, c, (h - kernel) // stride + 1,
-                           (w - kernel) // stride + 1), "avgpool")
-
-    def concat_channels(self, a, b):
-        n, c, h, w = a.value.shape
-        return self._node((n, c + b.value.shape[1], h, w), "concat_channels")
-
-    def take_first_channels(self, x, m):
-        n, c, h, w = x.value.shape
-        return self._node((n, min(m, c), h, w), "take_first_channels")
-
-    def flatten_spatial(self, x):
-        return self._node(x.value.shape[:2], "flatten_spatial")
+for _name, _rule in _SHAPE_RULES.items():
+    setattr(ShapeTape, _name, _symbolic_op(_name, _rule))
 
 
 def _bn_normalize(xv, mean, var, eps):

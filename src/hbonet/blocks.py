@@ -17,9 +17,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, eager
 from .ops import BatchNormParams
-from .tensor import ConvKernel, DimensionError, Tensor
+from .tensor import ConvKernel, Tensor
 
 __all__ = [
     "ConfigError",
@@ -298,18 +298,10 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: BlockParams,
     return tape.concat_channels(y, short)
 
 
-def _eager(block_fn, x: Tensor, cfg: BlockConfig, p: BlockParams) -> Tensor:
-    if x.c != cfg.c_in:
-        raise DimensionError(f"block expects {cfg.c_in} channels, got {x.c}")
-    tape = Tape(grad_enabled=False)
-    out = block_fn(tape.leaf(x.data, "x"), cfg, p, tape, training=False)
-    return Tensor._wrap(out.value)
-
-
 def inverted_residual_forward(x: Tensor, cfg: BlockConfig,
                               p: BlockParams) -> Tensor:
     """Expand, depthwise-filter, linearly contract; skip when shape-preserving."""
-    return _eager(inverted_residual_forward_node, x, cfg, p)
+    return eager(lambda tape, xn: inverted_residual_forward_node(xn, cfg, p, tape), x)
 
 
 def harmonious_bottleneck_forward(x: Tensor, cfg: BlockConfig,
@@ -320,4 +312,4 @@ def harmonious_bottleneck_forward(x: Tensor, cfg: BlockConfig,
     computed, the last c_out/2 are the input's leading channels (stride 1)
     or their 2x2-average-pooled version (stride 2).
     """
-    return _eager(hbo_forward_node, x, cfg, p)
+    return eager(lambda tape, xn: hbo_forward_node(xn, cfg, p, tape), x)

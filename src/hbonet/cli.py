@@ -96,7 +96,7 @@ def _add_network_flags(p, variant=True):
 
 
 def cmd_analyze(args) -> int:
-    net = build_network(_network_spec(args))
+    net = build_network(_network_spec(args), init_weights=False)
     led = ledger(net)
     print(led.pretty())
     if args.csv:
@@ -119,7 +119,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    net = build_network(_network_spec(args))
+    net = build_network(_network_spec(args), init_weights=False)
     for name, (c, h, w) in trace_shapes(net):
         print(f"{name:<12} {h}x{w}x{c}")
     return 0

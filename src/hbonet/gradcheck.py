@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, backward, finite_diff_check
+from .autodiff import Tape, backward, eager, finite_diff_check
 from .blocks import (
     BlockConfig,
     BlockKind,
@@ -43,9 +43,7 @@ def _op_checks(step: float, rng: np.random.Generator) -> list[CheckResult]:
     results = []
 
     def add(name, op_builder, x):
-        out_probe = op_builder(Tape(grad_enabled=False),
-                               Tape(grad_enabled=False).leaf(x))
-        weights = rng.normal(size=np.shape(out_probe.value))
+        weights = rng.normal(size=eager(op_builder, x).shape)
         err = finite_diff_check(_taped_loss(op_builder, weights), x, step)
         results.append(CheckResult(name, err))
 
@@ -139,8 +137,7 @@ def block_weight_checks(cfg: BlockConfig, x: np.ndarray, step: float,
            else inverted_residual_forward_node)
 
     def run_eager(px: BlockParams, arr: np.ndarray) -> np.ndarray:
-        tape = Tape(grad_enabled=False)
-        return fwd(tape.leaf(arr), cfg, px, tape, training=False).value
+        return eager(lambda tape, xn: fwd(xn, cfg, px, tape), arr).data
 
     weights = rng.normal(size=run_eager(p, x).shape)
 

@@ -33,7 +33,7 @@ from .blocks import (
     inverted_residual_forward_node,
     make_divisible,
 )
-from .tensor import ConvKernel, Tensor
+from .tensor import ConvKernel, DimensionError, Tensor
 
 __all__ = [
     "StageSpec",
@@ -381,39 +381,38 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
             raise ConfigError(f"stage {i} ({stage_name}): no stage can "
                               f"follow the classifier")
         c = x.value.shape[1]
-        if st.op == "conv3x3":
-            cout = _scale_channels(st.c, spec, st.width_exempt)
-            conv = ConvLayerSpec(stage_name, "dense", c, cout, 3, st.s, True, True)
-            append(ConvUnit(stage_name, stage_name, conv, rng))
-        elif st.op in ("conv1x1", "conv1x1_linear"):
-            cout = _scale_channels(st.c, spec, st.width_exempt)
-            act = st.op == "conv1x1"
-            conv = ConvLayerSpec(stage_name, "pointwise", c, cout, 1, 1, True, act)
-            append(ConvUnit(stage_name, stage_name, conv, rng))
-        elif st.op in ("hbo", "inverted_residual"):
-            cout = _scale_channels(st.c, spec, st.width_exempt)
-            for r in range(st.n):
-                stride = st.s if r == 0 else 1
-                _, cin, h, w = x.value.shape
-                if st.op == "hbo":
-                    if h % 2 or w % 2:
-                        raise ConfigError(
-                            f"stage {i} ({stage_name}): spatial {h}x{w} not "
-                            f"divisible by 2 for the contraction"
-                        )
-                    k = _cap_contraction(spec.contraction_variant, h, w)
-                    cfg = BlockConfig(cin, cout, st.t, stride,
-                                      BlockKind.HARMONIOUS_BOTTLENECK,
-                                      contraction_count=k)
-                else:
-                    cfg = BlockConfig(cin, cout, st.t, stride,
-                                      BlockKind.INVERTED_RESIDUAL)
-                append(BlockUnit(f"{stage_name}_{r + 1}", stage_name, cfg, rng))
-        elif st.op == "avgpool":
-            append(PoolUnit(stage_name, stage_name))
-        elif st.op == "classifier":
-            append(ClassifierUnit(stage_name, stage_name, c,
-                                  spec.num_classes, rng))
+        try:    # a unit's config error or its walk's shape error names the stage
+            if st.op == "conv3x3":
+                cout = _scale_channels(st.c, spec, st.width_exempt)
+                conv = ConvLayerSpec(stage_name, "dense", c, cout, 3, st.s, True, True)
+                append(ConvUnit(stage_name, stage_name, conv, rng))
+            elif st.op in ("conv1x1", "conv1x1_linear"):
+                cout = _scale_channels(st.c, spec, st.width_exempt)
+                act = st.op == "conv1x1"
+                conv = ConvLayerSpec(stage_name, "pointwise", c, cout, 1, 1, True, act)
+                append(ConvUnit(stage_name, stage_name, conv, rng))
+            elif st.op in ("hbo", "inverted_residual"):
+                cout = _scale_channels(st.c, spec, st.width_exempt)
+                for r in range(st.n):
+                    stride = st.s if r == 0 else 1
+                    _, cin, h, w = x.value.shape
+                    if st.op == "hbo":
+                        # at least one contraction; an odd map fails in the walk
+                        k = max(1, _cap_contraction(spec.contraction_variant, h, w))
+                        cfg = BlockConfig(cin, cout, st.t, stride,
+                                          BlockKind.HARMONIOUS_BOTTLENECK,
+                                          contraction_count=k)
+                    else:
+                        cfg = BlockConfig(cin, cout, st.t, stride,
+                                          BlockKind.INVERTED_RESIDUAL)
+                    append(BlockUnit(f"{stage_name}_{r + 1}", stage_name, cfg, rng))
+            elif st.op == "avgpool":
+                append(PoolUnit(stage_name, stage_name))
+            elif st.op == "classifier":     # needs the global pool's 1x1 map
+                append(ClassifierUnit(stage_name, stage_name, c,
+                                      spec.num_classes, rng))
+        except (ConfigError, DimensionError) as exc:
+            raise ConfigError(f"stage {i} ({stage_name}): {exc}") from exc
     rows = tuple((name, macs, tape.params.get(name, 0), out, hw)
                  for name, macs, out, hw in tape.rows)
     return Network(spec, units, rows, tuple(shapes))

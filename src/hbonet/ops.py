@@ -1,8 +1,12 @@
-"""Optimized neural ops over NCHW tensors.
+"""Optimized neural ops over NCHW tensors: the ndarray kernels (prefixed
+``_nd``) and the public Tensor-level ops.
 
-Public functions take and return :class:`~hbonet.tensor.Tensor`; the ndarray
-kernels (prefixed ``_nd``) are shared with the autodiff tape so the eager and
-taped paths compute byte-identical forward values. Every convolution path is
+Each op is described once, as a :class:`~hbonet.autodiff.Tape` method: its
+shape rule with the op's named errors, its kernel call here and its VJP.
+The public functions take and return :class:`~hbonet.tensor.Tensor` and run
+that method once on a grad-disabled tape (``autodiff.eager``), so eager and
+taped values are one computation; they check only the ``ConvKernel`` fields
+(groups, c_out, kernel size) that the tape never sees. Every convolution path is
 tested against ``conv2d_oracle`` at 1e-12.
 
 Tensors are NCHW at every interface. Inside, depthwise convolution turns
@@ -35,6 +39,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# autodiff imports this module back for its kernels; each side reads the
+# other's attributes only at call time, so either can be imported first
+from . import autodiff as _autodiff
 from .tensor import ConvKernel, DimensionError, Tensor, UnsupportedKernelError
 
 __all__ = [
@@ -277,20 +284,6 @@ def _pointwise_nd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
-def _grouped_conv_nd(x: np.ndarray, w: np.ndarray, groups: int,
-                     stride: int, pad: int) -> np.ndarray:
-    """General grouped convolution; only used for group counts other than
-    1 and c (never hit by the networks, kept for oracle parity tests)."""
-    cpg = w.shape[1]
-    opg = w.shape[0] // groups
-    outs = [
-        _conv2d_nd(x[:, g * cpg:(g + 1) * cpg], w[g * opg:(g + 1) * opg],
-                   stride, pad)
-        for g in range(groups)
-    ]
-    return np.concatenate(outs, axis=1)
-
-
 def _relu6_nd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """min(max(x, 0), 6), into ``out`` when given (which may be ``x``)."""
     out = np.maximum(x, 0.0, out=out)
@@ -335,14 +328,6 @@ def _upsample_nd(x: np.ndarray, factor: int) -> np.ndarray:
     return (uh[None, None] @ x) @ uw.T[None, None]
 
 
-def _upsample_transpose_nd(g: np.ndarray, factor: int, h: int, w: int) -> np.ndarray:
-    if factor == 1:
-        return g
-    uh = _bilinear_matrix(h, factor)
-    uw = _bilinear_matrix(w, factor)
-    return (uh.T[None, None] @ g) @ uw[None, None]
-
-
 def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Average pooling without padding.
 
@@ -366,125 +351,70 @@ def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public Tensor-level ops
+# public Tensor-level ops: each runs its Tape method once, grad disabled
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, w: ConvKernel, stride: int = 1, pad: int = 0) -> Tensor:
-    """Optimized grouped convolution, zero padding; matches conv2d_oracle,
-    including the errors it raises for a bad geometry."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
-    if x.c != w.groups * w.c_in_per_group:
-        raise DimensionError(
-            f"input has {x.c} channels, kernel expects "
-            f"{w.groups}*{w.c_in_per_group}"
-        )
-    if w.k_h > x.h + 2 * pad or w.k_w > x.w + 2 * pad:
-        raise DimensionError(
-            f"kernel {w.k_h}x{w.k_w} does not fit input {x.h}x{x.w} with pad {pad}"
-        )
-    if w.groups == 1:
-        out = _conv2d_nd(x.data, w.data, stride, pad)
-    elif w.groups == x.c and w.c_in_per_group == 1:
-        out = _depthwise_nd(x.data, w.data[:, 0], stride, pad)
-    else:
-        out = _grouped_conv_nd(x.data, w.data, w.groups, stride, pad)
-    return Tensor._wrap(out)
+    """Dense (groups 1) or depthwise (groups == c_out == channels)
+    convolution with zero padding; matches conv2d_oracle, including the
+    errors it raises for a bad geometry. Other grouped kernels raise
+    UnsupportedKernelError."""
+    if x.c != w.c_in:
+        raise DimensionError(f"input has {x.c} channels, kernel expects "
+                             f"{w.groups}*{w.c_in_per_group}")
+    if w.groups != 1 and (w.groups, w.c_out) != (x.c, x.c):
+        raise UnsupportedKernelError(f"conv2d takes groups 1 or groups == c_out == "
+                                     f"{x.c}, got groups {w.groups}, c_out {w.c_out}")
+    # depthwise weights enter the tape as (c, kh, kw)
+    weights = w.data if w.groups == 1 else w.data[:, 0]
+    return _autodiff.eager(_autodiff.Tape.conv2d, x, weights, stride, pad)
 
 
 def depthwise_conv(x: Tensor, w: ConvKernel, stride: int = 1) -> Tensor:
-    """Per-channel k x k convolution, k odd, implicit pad (k-1)/2.
-
-    Output spatial dims are ceil(h/stride) x ceil(w/stride).
-    """
-    if w.k_h != w.k_w or w.k_h % 2 == 0:
-        raise UnsupportedKernelError(
-            f"depthwise kernel must be square and odd, got {w.k_h}x{w.k_w}"
-        )
-    if stride not in (1, 2):
-        raise ValueError(f"stride must be 1 or 2, got {stride}")
-    if w.groups != x.c or w.c_in_per_group != 1 or w.c_out != x.c:
-        raise DimensionError(
-            f"depthwise kernel groups={w.groups} c_out={w.c_out} does not "
-            f"match {x.c} input channels"
-        )
-    pad = (w.k_h - 1) // 2
-    return Tensor._wrap(_depthwise_nd(x.data, w.data[:, 0], stride, pad))
+    """Per-channel k x k convolution, k odd, stride 1 or 2, implicit pad
+    (k-1)/2. Output spatial dims are ceil(h/stride) x ceil(w/stride)."""
+    if w.groups != x.c or w.c_in_per_group != 1:
+        raise DimensionError(f"depthwise kernel groups={w.groups} does not "
+                             f"match {x.c} input channels")
+    return _autodiff.eager(_autodiff.Tape.depthwise_conv, x, w.data[:, 0], stride)
 
 
 def pointwise_conv(x: Tensor, w: ConvKernel) -> Tensor:
     """1x1 convolution: per-pixel linear map over channels."""
     if w.k_h != 1 or w.k_w != 1 or w.groups != 1:
-        raise UnsupportedKernelError(
-            f"pointwise kernel must be 1x1 ungrouped, got {w.shape} "
-            f"groups={w.groups}"
-        )
-    if w.c_in_per_group != x.c:
-        raise DimensionError(f"kernel expects {w.c_in_per_group} channels, got {x.c}")
-    return Tensor._wrap(_pointwise_nd(x.data, w.data[:, :, 0, 0]))
+        raise UnsupportedKernelError(f"pointwise kernel must be 1x1 ungrouped, "
+                                     f"got {w.shape} groups={w.groups}")
+    return _autodiff.eager(_autodiff.Tape.pointwise_conv, x, w.data[:, :, 0, 0])
 
 
 def relu6(x: Tensor) -> Tensor:
-    return Tensor._wrap(_relu6_nd(x.data))
+    return _autodiff.eager(_autodiff.Tape.relu6, x)
 
 
 def batchnorm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
-    """Per-channel normalization.
-
-    Training mode normalizes by batch statistics (biased variance) and
-    updates running stats in place:
-    running <- (1 - momentum)*running + momentum*batch. Inference mode uses
-    the stored running statistics.
-    """
-    if p.channels != x.c:
-        raise DimensionError(f"batchnorm has {p.channels} channels, input {x.c}")
-    if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        p.running_mean[...] = (1 - p.momentum) * p.running_mean + p.momentum * mean
-        p.running_var[...] = (1 - p.momentum) * p.running_var + p.momentum * var
-    else:
-        mean, var = p.running_mean, p.running_var
-    return Tensor._wrap(_bn_affine_nd(x.data, mean, var, p.gamma, p.beta, p.eps))
+    """Per-channel normalization; training mode updates ``p``'s running
+    statistics in place (see ``Tape.batchnorm``)."""
+    return _autodiff.eager(_autodiff.Tape.batchnorm, x, p.gamma, p.beta, p,
+                           training)
 
 
 def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
-    """Separable bilinear interpolation by an integer factor.
-
-    Half-pixel-center convention: source coordinate (dst + 0.5)/factor - 0.5,
-    clamped to borders. factor 1 is an exact identity.
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    return Tensor._wrap(_upsample_nd(x.data, factor))
+    """Half-pixel-center bilinear interpolation by an integer factor."""
+    return _autodiff.eager(_autodiff.Tape.bilinear_upsample, x, factor)
 
 
 def avgpool(x: Tensor, kernel: int, stride: int) -> Tensor:
     """Average pooling without padding."""
-    if kernel < 1 or stride < 1:
-        raise ValueError("kernel and stride must be >= 1")
-    if kernel > x.h or kernel > x.w:
-        raise DimensionError(
-            f"pool kernel {kernel} exceeds input {x.h}x{x.w}"
-        )
-    return Tensor._wrap(_avgpool_nd(x.data, kernel, stride))
+    return _autodiff.eager(_autodiff.Tape.avgpool, x, kernel, stride)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    if (a.n, a.h, a.w) != (b.n, b.h, b.w):
-        raise DimensionError(f"concat mismatch: {a.shape} vs {b.shape}")
-    return Tensor._wrap(np.concatenate([a.data, b.data], axis=1))
+    return _autodiff.eager(_autodiff.Tape.concat_channels, a, b)
 
 
 def take_first_channels(x: Tensor, m: int) -> Tensor:
-    if not 1 <= m <= x.c:
-        raise DimensionError(f"cannot take {m} of {x.c} channels")
-    return Tensor._wrap(x.data[:, :m].copy())
+    return _autodiff.eager(_autodiff.Tape.take_first_channels, x, m)
 
 
 def eltadd(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"eltadd mismatch: {a.shape} vs {b.shape}")
-    return Tensor._wrap(a.data + b.data)
+    return _autodiff.eager(_autodiff.Tape.eltadd, a, b)

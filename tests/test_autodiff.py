@@ -1,10 +1,15 @@
 """Tape recording, backward sweep, per-op gradient laws, and the
 finite-difference verifier."""
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hbonet.autodiff import Tape, backward, finite_diff_check
+from hbonet.autodiff import ShapeTape, Tape, backward, eager, finite_diff_check
 from hbonet.ops import BatchNormParams
+from hbonet.tensor import DimensionError, UnsupportedKernelError
 
 
 class TestBackwardBasics:
@@ -122,32 +127,150 @@ class TestTapedMatchesEager:
 
     @pytest.mark.parametrize("grad_enabled", [True, False])
     def test_values_bitwise_equal(self, grad_enabled):
-        """Depthwise (both layouts), inference batch norm with non-identity
-        statistics, and average pooling: taped bytes equal eager bytes."""
+        """Every public op against its tape op: depthwise in both layouts,
+        pointwise, dense conv, batch norm in training (running statistics
+        too) and inference mode, ReLU6, upsampling, pooling and the channel
+        ops. Taped bytes equal eager bytes."""
         from hbonet import ops
         from hbonet.tensor import ConvKernel, Tensor
         rng = np.random.default_rng(6)
         for n in (1, 2):
-            x = rng.normal(size=(n, 4, 9, 8))
+            x, z = rng.normal(size=(2, n, 4, 9, 8))
+            y = rng.normal(size=(n, 3, 9, 8))
             wd = rng.normal(size=(4, 1, 5, 5))
+            wp = rng.normal(size=(6, 4, 1, 1))
+            wc = rng.normal(size=(5, 4, 3, 3))
+            stats = dict(gamma=rng.normal(1, 0.3, 4), beta=rng.normal(size=4),
+                         running_mean=rng.normal(size=4),
+                         running_var=rng.uniform(0.2, 3, 4))
             tape = Tape(grad_enabled=grad_enabled)
-            taped = tape.depthwise_conv(tape.leaf(x), tape.leaf(wd[:, 0]), 2)
-            eager = ops.depthwise_conv(Tensor(x), ConvKernel(wd, groups=4), 2)
-            assert taped.value.tobytes() == eager.data.tobytes()
-
-            p = BatchNormParams(
-                gamma=rng.normal(1, 0.3, 4), beta=rng.normal(size=4),
-                running_mean=rng.normal(size=4),
-                running_var=rng.uniform(0.2, 3, 4))
-            taped = tape.batchnorm(tape.leaf(x), tape.leaf(p.gamma),
-                                   tape.leaf(p.beta), p, training=False)
-            eager = ops.batchnorm(Tensor(x), p, training=False)
-            assert taped.value.tobytes() == eager.data.tobytes()
-
-            for k in (2, 3):
-                taped = tape.avgpool(tape.leaf(x), k, k)
-                eager = ops.avgpool(Tensor(x), k, k)
+            leaf = tape.leaf
+            X, Y, Z = Tensor(x), Tensor(y), Tensor(z)
+            pairs = [
+                (tape.depthwise_conv(leaf(x), leaf(wd[:, 0]), 2),
+                 ops.depthwise_conv(X, ConvKernel(wd, groups=4), 2)),
+                (tape.pointwise_conv(leaf(x), leaf(wp[:, :, 0, 0])),
+                 ops.pointwise_conv(X, ConvKernel(wp))),
+                (tape.conv2d(leaf(x), leaf(wc), 2, 1),
+                 ops.conv2d(X, ConvKernel(wc), 2, 1)),
+                (tape.relu6(leaf(4 * x)), ops.relu6(Tensor(4 * x))),
+                (tape.concat_channels(leaf(x), leaf(y)), ops.concat_channels(X, Y)),
+                (tape.take_first_channels(leaf(x), 3), ops.take_first_channels(X, 3)),
+                (tape.eltadd(leaf(x), leaf(z)), ops.eltadd(X, Z)),
+            ]
+            for training in (True, False):
+                p_tape, p_eager = (BatchNormParams(**{k: v.copy() for k, v in stats.items()})
+                                   for _ in range(2))
+                pairs.append((tape.batchnorm(leaf(x), leaf(p_tape.gamma),
+                                             leaf(p_tape.beta), p_tape, training),
+                              ops.batchnorm(X, p_eager, training)))
+                assert p_tape.running_mean.tobytes() == p_eager.running_mean.tobytes()
+                assert p_tape.running_var.tobytes() == p_eager.running_var.tobytes()
+            for factor in (1, 2, 4):
+                pairs.append((tape.bilinear_upsample(leaf(x), factor),
+                              ops.bilinear_upsample(X, factor)))
+            for k in (2, 3, 7):
+                pairs.append((tape.avgpool(leaf(x), k, k), ops.avgpool(X, k, k)))
+            for taped, eager in pairs:
+                assert taped.value.shape == eager.shape
                 assert taped.value.tobytes() == eager.data.tobytes()
+
+
+def _error_rows():
+    """(eager call, tape call, named error), one bad operand per row."""
+    from hbonet import ops
+    from hbonet.tensor import ConvKernel, Tensor
+    x = np.zeros((1, 3, 4, 4))
+    X = Tensor(x)
+
+    def dw(k, c=3):
+        return np.zeros((c, k, k)), ConvKernel(np.zeros((c, 1, k, k)), groups=c)
+
+    rows = [
+        pytest.param(lambda: ops.take_first_channels(X, 5),
+                     lambda t: t.take_first_channels(t.leaf(x), 5),
+                     DimensionError, id="take-more-than-c"),
+        pytest.param(lambda: ops.take_first_channels(X, 0),
+                     lambda t: t.take_first_channels(t.leaf(x), 0),
+                     DimensionError, id="take-zero"),
+        pytest.param(lambda: ops.bilinear_upsample(X, 0),
+                     lambda t: t.bilinear_upsample(t.leaf(x), 0),
+                     ValueError, id="upsample-factor-0"),
+        pytest.param(lambda: ops.pointwise_conv(X, ConvKernel(np.zeros((2, 4, 1, 1)))),
+                     lambda t: t.pointwise_conv(t.leaf(x), t.leaf(np.zeros((2, 4)))),
+                     DimensionError, id="pointwise-channels"),
+        pytest.param(lambda: ops.concat_channels(X, Tensor.zeros(1, 2, 5, 4)),
+                     lambda t: t.concat_channels(t.leaf(x),
+                                                 t.leaf(np.zeros((1, 2, 5, 4)))),
+                     DimensionError, id="concat-maps"),
+        pytest.param(lambda: ops.avgpool(X, 5, 1),
+                     lambda t: t.avgpool(t.leaf(x), 5, 1),
+                     DimensionError, id="avgpool-kernel-over-map"),
+        # no public Tensor op returns rank 2, so the eager path is the helper
+        pytest.param(lambda: eager(Tape.flatten_spatial, X),
+                     lambda t: t.flatten_spatial(t.leaf(x)),
+                     DimensionError, id="flatten-not-1x1"),
+    ]
+    for name, (w, kernel), stride, error in (
+            ("depthwise-channels", dw(3, c=2), 1, DimensionError),
+            ("depthwise-even-kernel", dw(4), 1, UnsupportedKernelError),
+            ("depthwise-stride-3", dw(3), 3, ValueError)):
+        rows.append(pytest.param(
+            lambda kernel=kernel, s=stride: ops.depthwise_conv(X, kernel, s),
+            lambda t, w=w, s=stride: t.depthwise_conv(t.leaf(x), t.leaf(w), s),
+            error, id=name))
+    return rows
+
+
+@pytest.mark.parametrize("eager_call,tape_call,error", _error_rows())
+def test_every_path_raises_the_named_error(eager_call, tape_call, error):
+    """The eager op, a recording tape, a grad-disabled tape and the
+    symbolic ShapeTape all reject a bad operand with the same error class."""
+    calls = [eager_call] + [lambda t=t: tape_call(t) for t in
+                            (Tape(), Tape(grad_enabled=False), ShapeTape())]
+    for call in calls:
+        # the exact class: the named errors subclass ValueError
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is error
+
+
+class TestPerfbenchHooks:
+    """perfbench/tracing.py overrides Tape methods by name and reads a conv
+    call's weight as its second argument; loaded here without editing it."""
+
+    @staticmethod
+    def _tracing():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_traced_ops_are_tape_methods(self):
+        tracing = self._tracing()
+        for name in tracing.TRACED_OPS:
+            assert callable(vars(Tape).get(name)), name
+        for name in tracing.CONV_OPS:
+            assert list(inspect.signature(getattr(Tape, name)).parameters)[:3] \
+                == ["self", "x", "w"]
+        for name in ("relu6", "batchnorm"):
+            assert "_out" in inspect.signature(getattr(Tape, name)).parameters
+
+    def test_traced_conv_macs_equal_the_ledger_rows(self):
+        """The traced MACs, read from the weight argument, equal what the
+        symbolic walk behind the ledger counts, for each conv op."""
+        tracing = self._tracing()
+        rec = tracing.Recorder()
+        traced, shapes = tracing.TracingTape(rec), ShapeTape()
+        x = np.ones((2, 4, 8, 8))
+        for name, w, args in (("conv2d", np.ones((5, 4, 3, 3)), (2, 1)),
+                              ("depthwise_conv", np.ones((4, 5, 5)), (2,)),
+                              ("pointwise_conv", np.ones((6, 4)), ())):
+            getattr(traced, name)(traced.leaf(x), traced.leaf(w), *args)
+            getattr(shapes, name)(shapes.leaf(x), shapes.leaf(w, name + ".weight"),
+                                  *args)
+        assert [s.macs for s in rec.spans] == [2 * row[1] for row in shapes.rows]
 
 
 class TestFiniteDiffCheck:
@@ -188,6 +311,21 @@ class TestFiniteDiffCheck:
             return t.weighted_sum(out, weights)
 
         assert finite_diff_check(f, x, step=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (3, 2)])
+    def test_conv2d_with_depthwise_weights(self, stride, pad):
+        """Tape.conv2d on (c, kh, kw) weights, the path of ops.conv2d with
+        groups == channels: any kernel shape, stride and pad."""
+        rng = np.random.default_rng(stride)
+        x, w = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(3, 5, 2))
+        weights = rng.normal(size=(2, 3, *[(d + 2 * pad - k) // stride + 1
+                                           for d, k in ((7, 5), (6, 2))]))
+
+        def loss(t, xn, wn):
+            return t.weighted_sum(t.conv2d(xn, wn, stride, pad), weights)
+
+        assert finite_diff_check(lambda xn: loss(xn.tape, xn, xn.tape.leaf(w)), x) < 1e-7
+        assert finite_diff_check(lambda wn: loss(wn.tape, wn.tape.leaf(x), wn), w) < 1e-7
 
     def test_coordinate_sampling_is_seeded(self):
         rng = np.random.default_rng(10)

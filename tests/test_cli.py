@@ -160,6 +160,8 @@ class TestBadInput:
         ["analyze", "--spec", "{stages_int}"],
         ["analyze", "--spec", "{negative_c}"],
         ["analyze", "--spec", "{fractional_n}"],
+        ["analyze", "--spec", "{no_pool}"],
+        ["infer", "--spec", "{no_pool}"],
     ])
     def test_exits_two_with_one_error_line(self, argv, tmp_path, capsys):
         not_json = tmp_path / "not.json"
@@ -170,6 +172,7 @@ class TestBadInput:
             "stages_int": 5,
             "negative_c": [{"op": "conv3x3", "c": -8, "n": 1, "s": 2}],
             "fractional_n": [{"op": "conv3x3", "c": 32, "n": 1.5, "s": 2}],
+            "no_pool": [{"op": "conv3x3", "c": 16, "s": 2}, {"op": "classifier"}],
         }
         tables = {}
         for key, stages in bad_stages.items():

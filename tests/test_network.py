@@ -195,6 +195,14 @@ class TestStageTableIO:
         with pytest.raises(ConfigError, match="stage 3"):
             build_network(NetworkSpec(name, stages, input_resolution=32))
 
+    def test_classifier_without_global_pool_rejected(self):
+        doc = {"format_version": 1, "stages": [
+            {"op": "conv3x3", "c": 8, "s": 2}, {"op": "classifier"},
+        ]}
+        name, stages = load_stage_table(doc)
+        with pytest.raises(ConfigError, match=r"stage 1 \(classifier\).*pool"):
+            build_network(NetworkSpec(name, stages, input_resolution=32))
+
     def test_custom_table_builds(self):
         doc = {"format_version": 1, "name": "mini", "stages": [
             {"op": "conv3x3", "c": 8, "n": 1, "s": 2},

@@ -207,13 +207,16 @@ class TestDenseConv2d:
         want = conv2d_oracle(x, w, stride=stride, pad=pad)
         assert tensor_equal_within(got, want, 1e-12)
 
-    def test_grouped_matches_oracle(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(1, 6, 6, 6)))
-        w = ConvKernel(rng.normal(size=(4, 3, 3, 3)), groups=2)
-        got = ops.conv2d(x, w, stride=1, pad=1)
-        want = conv2d_oracle(x, w, stride=1, pad=1)
-        assert tensor_equal_within(got, want, 1e-12)
+    @pytest.mark.parametrize("kernel,groups", [((4, 3, 3, 3), 2), ((12, 1, 3, 3), 6)],
+                             ids=["general-groups", "channel-multiplier"])
+    def test_general_groups_unsupported(self, kernel, groups):
+        """Only groups 1 and depthwise groups == c_out == channels are
+        supported; conv2d_oracle keeps general groups."""
+        x = Tensor.zeros(1, 6, 6, 6)
+        w = ConvKernel(np.zeros(kernel), groups=groups)
+        with pytest.raises(UnsupportedKernelError, match="groups"):
+            ops.conv2d(x, w, stride=1, pad=1)
+        assert conv2d_oracle(x, w, stride=1, pad=1).shape == (1, kernel[0], 6, 6)
 
 
 class TestRelu6:
