@@ -37,7 +37,7 @@ from .ops import (
     relu6,
     take_first_channels,
 )
-from .autodiff import Node, Tape, backward, finite_diff_check
+from .autodiff import Node, Tape, TapeConsumedError, backward, finite_diff_check
 from .blocks import (
     BlockConfig,
     BlockKind,

@@ -24,8 +24,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import ops as _ops
 from .tensor import DimensionError, Tensor, UnsupportedKernelError
 
-__all__ = ["Node", "Tape", "ShapeTape", "backward", "eager",
-           "finite_diff_check"]
+__all__ = ["Node", "Tape", "ShapeTape", "TapeConsumedError", "backward",
+           "eager", "finite_diff_check"]
+
+
+class TapeConsumedError(RuntimeError):
+    """``backward`` over a tape whose interior VJPs an earlier ``backward``
+    already freed."""
 
 
 class Node:
@@ -532,15 +537,24 @@ def _bn_normalize(xv, mean, var, eps):
 
 
 def backward(tape: Tape, loss_node: Node) -> dict[Node, np.ndarray]:
-    """Chain-rule sweep from a scalar loss; returns gradients for all leaves.
+    """Chain-rule sweep from a scalar loss; returns ``{leaf: gradient}`` for
+    every leaf the loss reaches, and leaves each on ``leaf.grad``.
 
     Accumulation follows reverse creation order, so it is deterministic.
-    Gradients are also left on ``node.grad`` for every reached node.
+    Gradients are kept on leaves only: once an interior node's VJP has
+    returned its parents' gradients, the node's ``grad`` and ``vjp`` (with
+    whatever the closure holds) are set to ``None``, so the sweep holds only
+    the gradients still to be propagated. A tape is differentiated once; a
+    second ``backward`` over it raises :class:`TapeConsumedError`.
     """
     if np.shape(loss_node.value) != ():
         raise ValueError(
             f"loss must be scalar, got shape {np.shape(loss_node.value)}"
         )
+    if any(node.parents and node.vjp is None for node in tape.nodes):
+        raise TapeConsumedError(
+            "this tape was already differentiated and its VJPs freed; "
+            "record the forward on a new tape")
     for node in tape.nodes:
         node.grad = None
     loss_node.grad = np.float64(1.0)
@@ -548,13 +562,14 @@ def backward(tape: Tape, loss_node: Node) -> dict[Node, np.ndarray]:
         if node.grad is None or node.vjp is None:
             continue
         parent_grads = node.vjp(node.grad)
+        node.grad = node.vjp = None
         for parent, pg in zip(node.parents, parent_grads):
             if parent.grad is None:
                 parent.grad = np.asarray(pg, dtype=np.float64)
             else:
                 parent.grad = parent.grad + pg
     return {n: n.grad for n in tape.nodes
-            if n.vjp is None and n.parents == () and n.grad is not None}
+            if n.parents == () and n.grad is not None}
 
 
 def finite_diff_check(

@@ -145,8 +145,7 @@ def block_weight_checks(cfg: BlockConfig, x: np.ndarray, step: float,
     xn = tape.leaf(x, "input")
     out = fwd(xn, cfg, p, tape, training=False)
     loss = tape.weighted_sum(out, weights)
-    backward(tape, loss)
-    grads = {n.name: n.grad for n in tape.nodes if n.vjp is None}
+    grads = {n.name: g for n, g in backward(tape, loss).items()}
 
     results = []
     err = finite_diff_check(lambda a: float((run_eager(p, a) * weights).sum()),

@@ -190,9 +190,7 @@ def train_toy(net_spec: NetworkSpec | None = None,
             loss = tape.label_smooth_ce(logits, yb, config.label_smoothing)
             if not np.isfinite(loss.value):
                 raise TrainingError(f"loss diverged at step {step}", step)
-            backward(tape, loss)
-            grads = {n.name: n.grad for n in tape.nodes
-                     if n.vjp is None and n.grad is not None}
+            grads = {n.name: g for n, g in backward(tape, loss).items()}
             # depthwise/pointwise leaves are reshaped views of the parameters
             params = sgd_step(
                 params,

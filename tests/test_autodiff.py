@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hbonet.autodiff import ShapeTape, Tape, backward, eager, finite_diff_check
+from hbonet.autodiff import (ShapeTape, Tape, TapeConsumedError, backward, eager,
+                             finite_diff_check)
+from hbonet.blocks import BlockConfig, BlockKind, hbo_forward_node, init_block_params
 from hbonet.ops import BatchNormParams
 from hbonet.tensor import DimensionError, UnsupportedKernelError
 
@@ -64,6 +66,80 @@ class TestBackwardBasics:
         x = tape.leaf(np.zeros((1, 1, 2, 2)))
         tape.relu6(x)
         assert tape.nodes == []
+
+
+def keep_everything_backward(tape, loss_node):
+    """The sweep without liveness freeing: every reached node keeps its
+    gradient and VJP. Returns the reached leaves' gradients in tape order:
+    the reference that ``backward``'s leaf gradients must equal bit for bit."""
+    for node in tape.nodes:
+        node.grad = None
+    loss_node.grad = np.float64(1.0)
+    for node in reversed(tape.nodes):
+        if node.grad is None or node.vjp is None:
+            continue
+        for parent, pg in zip(node.parents, node.vjp(node.grad)):
+            if parent.grad is None:
+                parent.grad = np.asarray(pg, dtype=np.float64)
+            else:
+                parent.grad = parent.grad + pg
+    return [(n.name, n.grad) for n in tape.nodes
+            if not n.parents and n.grad is not None]
+
+
+def assert_leaf_grads_bitwise(got, want):
+    """``got``: backward's ``{leaf: grad}``; ``want``: the reference's
+    (name, grad) list for a second recording of the same forward."""
+    assert [n.name for n in got] == [name for name, _ in want]
+    for (name, w), g in zip(want, got.values()):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+class TestLiveness:
+    """backward frees each interior node's gradient and VJP once its VJP
+    has run; leaves keep theirs."""
+
+    @staticmethod
+    def _hbo_block_tape(training):
+        """A stride-1 HBO block: the input and the contraction output fan
+        out, and both eltadd and concat_channels run."""
+        rng = np.random.default_rng(12)
+        cfg = BlockConfig(8, 8, 2, 1, BlockKind.HARMONIOUS_BOTTLENECK)
+        p = init_block_params(cfg, rng)
+        x = rng.normal(size=(2, 8, 8, 8))
+        weights = rng.normal(size=(2, 8, 8, 8))
+        tape = Tape()
+        out = hbo_forward_node(tape.leaf(x, "input"), cfg, p, tape, training)
+        return tape, tape.weighted_sum(out, weights)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_interior_freed_leaves_keep_grad(self, training):
+        tape, loss = self._hbo_block_tape(training)
+        assert {n.name for n in tape.nodes} >= {"eltadd", "concat_channels"}
+        leaves = backward(tape, loss)
+        interior = [n for n in tape.nodes if n.parents]
+        assert interior and all(n.grad is None and n.vjp is None for n in interior)
+        assert list(leaves) == [n for n in tape.nodes if not n.parents]
+        assert all(leaf.grad is g and g is not None for leaf, g in leaves.items())
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_leaf_grads_equal_keep_everything_sweep(self, training):
+        want = keep_everything_backward(*self._hbo_block_tape(training))
+        assert_leaf_grads_bitwise(backward(*self._hbo_block_tape(training)), want)
+
+    def test_second_backward_raises_and_keeps_leaf_grads(self):
+        tape = Tape()
+        x = tape.leaf(np.arange(4.0).reshape(1, 1, 2, 2), "x")
+        y = tape.relu6(x)
+        loss = tape.sum_all(y)
+        backward(tape, loss)
+        first = x.grad
+        with pytest.raises(TapeConsumedError):
+            backward(tape, loss)
+        with pytest.raises(TapeConsumedError):   # a new loss over freed nodes
+            backward(tape, tape.sum_all(y))
+        assert x.grad is first
 
 
 class TestClosedFormGradients:

@@ -2,12 +2,14 @@
 The full 40-epoch reference run lives in the acceptance suite."""
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_autodiff import assert_leaf_grads_bitwise, keep_everything_backward
 
-from hbonet.autodiff import finite_diff_check
-from hbonet.network import build_hbonet
+from hbonet.autodiff import Tape, backward, finite_diff_check
+from hbonet.network import build_hbonet, build_network, hbonet_spec
 from hbonet.train import (
     LogRow,
     OptimizerState,
@@ -204,6 +206,49 @@ class TestTrainToy:
             train_toy(epochs=1, seed=0,
                       config=ToyConfig(num_samples=64, batch_size=64))
         assert excinfo.value.step == 0
+
+
+class TestToyStepBackward:
+    """One batch-32 step of the toy network through ``backward``."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        config = ToyConfig()
+        net = build_network(hbonet_spec(width=0.25, divisor=2,
+                                        resolution=config.image_size,
+                                        num_classes=3, seed=0))
+        images, labels = make_synthetic_dataset(
+            config.batch_size, 1, config.image_size, config.noise)
+        return net, images, labels
+
+    @staticmethod
+    def _step_tape(net, images, labels):
+        tape = Tape()
+        logits = net.forward_node(tape.leaf(images, "input"), tape,
+                                  training=True)
+        return tape, tape.label_smooth_ce(logits, labels,
+                                          ToyConfig().label_smoothing)
+
+    def test_leaf_grads_equal_keep_everything_sweep(self, batch):
+        want = keep_everything_backward(*self._step_tape(*batch))
+        assert_leaf_grads_bitwise(backward(*self._step_tape(*batch)), want)
+
+    def test_step_peak_memory(self, batch):
+        """tracemalloc peak of a whole step: forward, loss, backward and the
+        SGD update. It was 65.5 MB while every gradient and VJP closure
+        lived until the tape was dropped; freeing them in backward brings
+        it to 36.4 MB."""
+        net = batch[0]
+        params = net.parameters()
+        tracemalloc.start()
+        try:
+            grads = {n.name: g for n, g in backward(*self._step_tape(*batch)).items()}
+            sgd_step(params, {k: grads[k].reshape(params[k].shape) for k in params},
+                     OptimizerState(), ToyConfig().base_lr)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 45
 
 
 class TestTruncatedSchedule:
