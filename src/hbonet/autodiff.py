@@ -167,10 +167,19 @@ class Tape:
             self.nodes.append(node)
         return node
 
-    def _check_out(self, out) -> None:
-        if out is not None and self.grad_enabled:
-            raise ValueError("an op writes into _out only with grad disabled; "
-                             "a recorded node keeps its input for the VJP")
+    def _check_out(self, x: Node, out, vjp_reads_x: bool = False) -> None:
+        """With grad disabled ``_out`` may be any array the caller owns. On a
+        recording tape it must be the value of the op's own interior input
+        ``x``, and only where the op's VJP does not read ``x``: the caller
+        vouches that no other recorded op reads that array either."""
+        if out is None or not self.grad_enabled:
+            return
+        if vjp_reads_x:
+            raise ValueError("this op's VJP reads its input, so a recording "
+                             "tape cannot let it write into _out")
+        if not x.parents or out is not x.value:
+            raise ValueError("on a recording tape _out must be the value of "
+                             "the op's own interior input node, not a leaf's")
 
     def _record(self, value, parents, vjp, name) -> Node:
         if not self.grad_enabled:
@@ -265,14 +274,16 @@ class Tape:
         return self._record(out, (x, w), vjp, "pointwise_conv")
 
     def relu6(self, x: Node, *, _out: np.ndarray | None = None) -> Node:
-        """min(max(x, 0), 6), any shape. ``_out`` (grad disabled only)
-        receives the value, so a caller that owns ``x.value`` can pass it
-        and skip an allocation."""
-        self._check_out(_out)
+        """min(max(x, 0), 6), any shape. ``_out`` receives the value, so a
+        caller that owns ``x.value`` can pass it and skip an allocation; on
+        a recording tape it must be ``x.value`` of an interior ``x`` (see
+        :meth:`_check_out`), since the VJP reads only the mask."""
+        self._check_out(x, _out)
         xv = x.value
-        out = _ops._relu6_nd(xv, out=_out)
-        # subgradient 0 at both kinks; only a recorded node needs the mask
+        # subgradient 0 at both kinks; only a recorded node needs the mask,
+        # taken before _out (which may be xv) is overwritten
         mask = ((xv > 0.0) & (xv < 6.0)) if self.grad_enabled else None
+        out = _ops._relu6_nd(xv, out=_out)
 
         def vjp(g):
             return (g * mask,)
@@ -285,20 +296,22 @@ class Tape:
         """Per-channel batch norm; ``_out`` as in :meth:`relu6`. Training
         mode normalizes by batch statistics (biased variance) and updates
         ``p``'s running stats in place, running <- (1 - momentum)*running +
-        momentum*batch; inference mode folds the running statistics into
-        x * scale + shift."""
-        self._check_out(_out)
+        momentum*batch; its VJP reads only ``xhat``, so on a recording tape
+        it may write into its input. Inference mode folds the running
+        statistics into x * scale + shift; its VJP normalizes the input
+        again, so a recording tape refuses its ``_out``."""
+        self._check_out(x, _out, vjp_reads_x=not training)
         _batchnorm_shape(x.shape, gamma.shape, beta.shape, p)
         xv, gv, bv = x.value, gamma.value, beta.value
         if training:
-            mean = xv.mean(axis=(0, 2, 3))
-            var = xv.var(axis=(0, 2, 3))
+            out = np.empty_like(xv) if _out is None else _out
+            mean, var, inv, xhat = _bn_batch_normalize(xv, p.eps, out)
             p.running_mean[...] = (1 - p.momentum) * p.running_mean + p.momentum * mean
             p.running_var[...] = (1 - p.momentum) * p.running_var + p.momentum * var
-            norm = _bn_normalize(xv, mean, var, p.eps)
             with _ops._sweep(xv.shape[2] * xv.shape[3]):
-                out = np.multiply(gv[None, :, None, None], norm[1], out=_out)
+                np.multiply(gv[None, :, None, None], xhat, out=out)
                 out += bv[None, :, None, None]
+            norm = inv, xhat
         else:
             # the VJP normalizes by the same statistics, only when it runs,
             # so only a recorded node keeps a copy of them
@@ -534,6 +547,30 @@ def _bn_normalize(xv, mean, var, eps):
         xhat = xv - mean[None, :, None, None]
         xhat *= inv[None, :, None, None]
     return inv, xhat
+
+
+def _bn_batch_normalize(xv, eps, scratch):
+    """(mean, var, inv, xhat) of a training batch norm's input, from one
+    sum, bit for bit ``xv.mean``, ``xv.var`` and :func:`_bn_normalize`.
+
+    numpy's ``mean`` is ``sum`` then ``true_divide``; its ``var`` is the
+    same ``sum`` and ``true_divide``, then ``subtract``, ``square``, ``sum``
+    and ``true_divide``. Here the deviations ``xv - mean`` are kept and
+    scaled in place into ``xhat``, and the squares go to ``scratch``, which
+    may be ``xv`` itself: 5 full passes where mean, var and normalize take 7.
+    """
+    count = xv.size // xv.shape[1]
+    sweep = _ops._sweep(xv.shape[2] * xv.shape[3])
+    mean = xv.sum(axis=(0, 2, 3), keepdims=True)
+    mean /= count
+    with sweep:
+        xhat = xv - mean
+    var = np.square(xhat, out=scratch).sum(axis=(0, 2, 3))
+    var /= count
+    inv = 1.0 / np.sqrt(var + eps)
+    with sweep:
+        xhat *= inv[None, :, None, None]
+    return mean.reshape(-1), var, inv, xhat
 
 
 def backward(tape: Tape, loss_node: Node) -> dict[Node, np.ndarray]:

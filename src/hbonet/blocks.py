@@ -244,15 +244,19 @@ def _apply_layer(tape: Tape, x: Node, spec: ConvLayerSpec, lp: LayerParams,
     else:
         y = tape.conv2d(x, tape.leaf(w, f"{base}.weight"),
                         stride=spec.stride, pad=spec.pad)
-    # With grad disabled no node keeps the conv output, so the batch norm
-    # and ReLU6 overwrite it instead of allocating two more arrays.
-    out = None if tape.grad_enabled else y.value
+    # Only this layer reads the fresh conv output, so its batch norm and
+    # ReLU6 overwrite it instead of allocating two more arrays, and the
+    # layer's recorded nodes share that one array: the training batch-norm
+    # and ReLU6 VJPs read neither it nor the batch-norm output. A recording
+    # inference batch norm allocates, since its VJP normalizes its input
+    # again.
     if lp.bn is not None:
+        keep = tape.grad_enabled and not training
         y = tape.batchnorm(y, tape.leaf(lp.bn.gamma, f"{base}.gamma"),
                            tape.leaf(lp.bn.beta, f"{base}.beta"),
-                           lp.bn, training, _out=out)
+                           lp.bn, training, _out=None if keep else y.value)
     if spec.act:
-        y = tape.relu6(y, _out=out)
+        y = tape.relu6(y, _out=y.value)
     return y
 
 

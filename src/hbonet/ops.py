@@ -26,10 +26,14 @@ of copying both operands through the buffer; the caller's buffer size is
 restored afterwards. The buffer decides only how a loop is driven, never
 an elementwise value, and reductions stay outside the scope.
 
-The batch-norm and ReLU6 kernels take an ``out`` array. With grad disabled
-(inference), ``blocks._apply_layer`` passes the conv output as ``out``,
-which no other node can see, so a conv-BN-ReLU6 layer allocates only the
-conv's output; the values are the same bits.
+The batch-norm and ReLU6 kernels take an ``out`` array.
+``blocks._apply_layer`` passes the conv output as ``out``, since only the
+batch norm reads it and no VJP reads it, so a conv-BN-ReLU6 layer keeps one
+array instead of three, in inference and in training alike; the values are
+the same bits. On a recording tape ``Tape._check_out`` allows this only
+where the output is the value of the op's own interior input and the op's
+VJP does not read it, so the inference batch norm, whose VJP normalizes
+its input again, allocates there.
 """
 from __future__ import annotations
 

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hbonet.autodiff import (ShapeTape, Tape, TapeConsumedError, backward, eager,
-                             finite_diff_check)
+from hbonet.autodiff import (ShapeTape, Tape, TapeConsumedError, _bn_batch_normalize,
+                             _bn_normalize, backward, eager, finite_diff_check)
 from hbonet.blocks import BlockConfig, BlockKind, hbo_forward_node, init_block_params
 from hbonet.ops import BatchNormParams
 from hbonet.tensor import DimensionError, UnsupportedKernelError
@@ -140,6 +142,105 @@ class TestLiveness:
         with pytest.raises(TapeConsumedError):   # a new loss over freed nodes
             backward(tape, tape.sum_all(y))
         assert x.grad is first
+
+
+def _interior(tape, rng, shape=(2, 3, 4, 4), scale=4.0):
+    """An interior node that owns a fresh array and whose VJP reads no
+    value: the sum of two leaves."""
+    return tape.eltadd(tape.leaf(scale * rng.normal(size=shape), "a"),
+                       tape.leaf(rng.normal(size=shape), "b"))
+
+
+def _batchnorm(tape, x, p, training, **kw):
+    return tape.batchnorm(x, tape.leaf(p.gamma, "gamma"), tape.leaf(p.beta, "beta"),
+                          p, training, **kw)
+
+
+def _random_bn(rng, c=3):
+    return BatchNormParams(rng.normal(1, 0.3, c), rng.normal(size=c),
+                           rng.normal(size=c), rng.uniform(0.2, 3, c))
+
+
+class TestOutContract:
+    """On a recording tape ``_out`` must be the value of the op's own
+    interior input, and only for an op whose VJP does not read that input."""
+
+    def test_inference_batchnorm_refuses_out_on_a_recording_tape(self):
+        rng = np.random.default_rng(20)
+        tape = Tape()
+        x = _interior(tape, rng)
+        with pytest.raises(ValueError):
+            _batchnorm(tape, x, _random_bn(rng), False, _out=x.value)
+
+    @pytest.mark.parametrize("op", ["relu6", "batchnorm"])
+    def test_leaf_or_foreign_array_refused(self, op):
+        rng = np.random.default_rng(21)
+        tape = Tape()
+        leaf = tape.leaf(rng.normal(size=(2, 3, 4, 4)), "x")
+        x = _interior(tape, rng)
+        for node, out in ((leaf, leaf.value), (x, x.value.copy())):
+            with pytest.raises(ValueError):
+                if op == "relu6":
+                    tape.relu6(node, _out=out)
+                else:
+                    _batchnorm(tape, node, _random_bn(rng), True, _out=out)
+
+    @pytest.mark.parametrize("op", ["relu6", "batchnorm"])
+    def test_writing_into_the_input_equals_a_fresh_output(self, op):
+        """Same value bytes, leaf gradients and running statistics with
+        ``_out=x.value`` as without ``_out``."""
+        results = []
+        for in_place in (False, True):
+            rng = np.random.default_rng(22)
+            p = _random_bn(rng)
+            tape = Tape()
+            x = _interior(tape, rng)
+            kw = {"_out": x.value} if in_place else {}
+            y = (tape.relu6(x, **kw) if op == "relu6"
+                 else _batchnorm(tape, x, p, True, **kw))
+            assert (y.value is x.value) == in_place
+            value = y.value.tobytes()
+            grads = backward(tape, tape.weighted_sum(y, rng.normal(size=y.shape)))
+            results.append((value, [(n.name, g.tobytes()) for n, g in grads.items()],
+                            p.running_mean.tobytes(), p.running_var.tobytes()))
+        assert results[0] == results[1]
+
+
+class TestFusedBatchNormBitwise:
+    """Training batch norm takes mean, var and xhat from one sum. They, the
+    running statistics and the output must be the bytes that numpy's
+    ``x.mean``, ``x.var`` and ``_bn_normalize`` give."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 32]), c=st.integers(1, 3),
+           hw=st.one_of(st.just((1, 1)),
+                        st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                        st.sampled_from([(64, 128), (91, 91), (128, 65), (97, 89)])),
+           loc=st.sampled_from([0.0, 3.0, -250.0]), seed=st.integers(0, 2**16))
+    @example(n=1, c=144, hw=(112, 112), loc=0.0, seed=0)
+    @example(n=32, c=2, hw=(2, 2), loc=3.0, seed=1)      # runs of 128 elements
+    def test_stats_xhat_and_output_equal_numpy(self, n, c, hw, loc, seed):
+        rng = np.random.default_rng(seed)
+        x = loc + rng.normal(size=(n, c, *hw)) * rng.uniform(0.01, 10, (1, c, 1, 1))
+        p = _random_bn(rng, c)
+        eps, m = p.eps, p.momentum
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv, xhat = _bn_normalize(x, mean, var, eps)
+        want_rm = (1 - m) * p.running_mean + m * mean
+        want_rv = (1 - m) * p.running_var + m * var
+        want_out = np.multiply(p.gamma[None, :, None, None], xhat)
+        want_out += p.beta[None, :, None, None]
+
+        scratch = x.copy()      # the squares may overwrite the input itself
+        got = _bn_batch_normalize(scratch, eps, scratch)
+        for g, w in zip(got, (mean, var, inv, xhat)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        tape = Tape()
+        xi = tape.eltadd(tape.leaf(x), tape.leaf(np.zeros_like(x)))   # bytes of x
+        y = _batchnorm(tape, xi, p, True, _out=xi.value)
+        assert y.value.tobytes() == want_out.tobytes()
+        assert p.running_mean.tobytes() == want_rm.tobytes()
+        assert p.running_var.tobytes() == want_rv.tobytes()
 
 
 class TestClosedFormGradients:

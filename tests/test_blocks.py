@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_autodiff import assert_leaf_grads_bitwise, keep_everything_backward
 
 from hbonet import ops
-from hbonet.autodiff import Tape
+from hbonet.autodiff import Tape, backward
 from hbonet.blocks import (
     BlockConfig,
     BlockKind,
@@ -317,6 +318,55 @@ class TestInPlaceEpilogue:
         x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 32, 32)))
         first = forward(net, x)
         assert forward(net, x).tobytes() == first.tobytes()
+
+
+class FreshTape(Tape):
+    """The fresh-allocation reference: a recording tape whose batch norm
+    and ReLU6 ignore ``_out``, so every node gets its own output array."""
+
+    def relu6(self, x, *, _out=None):
+        return super().relu6(x)
+
+    def batchnorm(self, x, gamma, beta, p, training=False, *, _out=None):
+        return super().batchnorm(x, gamma, beta, p, training)
+
+
+class TestRecordedInPlaceEpilogue:
+    """On a recording tape each layer's batch norm and ReLU6 overwrite the
+    conv output (the inference batch norm excepted). Output, leaf gradients
+    and running statistics must equal the fresh-allocation reference's."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("cfg", [
+        BlockConfig(6, 8, 2, 1, HBO),
+        BlockConfig(6, 12, 2, 2, HBO, contraction_count=2),
+        BlockConfig(6, 6, 3, 1, INV),
+        BlockConfig(6, 10, 3, 2, INV),
+    ], ids=["hbo-s1-k1", "hbo-s2-k2", "invres-s1", "invres-s2"])
+    def test_forward_and_backward_equal_fresh_allocation(self, cfg, training):
+        node_fwd = hbo_forward_node if cfg.kind is HBO else inverted_residual_forward_node
+
+        def run(tape_cls):
+            rng = np.random.default_rng(cfg.c_out * 10 + cfg.stride)
+            p = init_block_params(cfg, rng)
+            TestInPlaceEpilogue._random_statistics(p, rng)
+            tape = tape_cls()
+            x = rng.normal(size=(3, cfg.c_in, 8, 8))
+            y = node_fwd(tape.leaf(x, "x"), cfg, p, tape, training=training)
+            stats = [a.tobytes() for _, lp in p
+                     for a in (lp.bn.running_mean, lp.bn.running_var)]
+            return tape, tape.weighted_sum(y, rng.normal(size=y.shape)), y, stats
+
+        ref_tape, ref_loss, ref_y, ref_stats = run(FreshTape)
+        want = keep_everything_backward(ref_tape, ref_loss)
+        tape, loss, y, stats = run(Tape)
+        assert y.value.tobytes() == ref_y.value.tobytes()
+        assert loss.value.tobytes() == ref_loss.value.tobytes()
+        assert stats == ref_stats
+        assert_leaf_grads_bitwise(backward(tape, loss), want)
+        # in place: fewer distinct interior arrays than nodes
+        arrays = {id(n.value) for n in tape.nodes if n.parents}
+        assert len(arrays) < len({id(n.value) for n in ref_tape.nodes if n.parents})
 
 
 class TestWidestIntermediate:
