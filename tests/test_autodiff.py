@@ -144,11 +144,11 @@ class TestLiveness:
         assert x.grad is first
 
 
-def _interior(tape, rng, shape=(2, 3, 4, 4), scale=4.0):
+def _interior(tape, rng):
     """An interior node that owns a fresh array and whose VJP reads no
-    value: the sum of two leaves."""
-    return tape.eltadd(tape.leaf(scale * rng.normal(size=shape), "a"),
-                       tape.leaf(rng.normal(size=shape), "b"))
+    value: the sum of two leaves, spread over both ReLU6 kinks."""
+    return tape.eltadd(tape.leaf(4 * rng.normal(size=(2, 3, 4, 4)), "a"),
+                       tape.leaf(rng.normal(size=(2, 3, 4, 4)), "b"))
 
 
 def _batchnorm(tape, x, p, training, **kw):

@@ -364,7 +364,7 @@ class TestRecordedInPlaceEpilogue:
         assert loss.value.tobytes() == ref_loss.value.tobytes()
         assert stats == ref_stats
         assert_leaf_grads_bitwise(backward(tape, loss), want)
-        # in place: fewer distinct interior arrays than nodes
+        # and the layers did share their arrays
         arrays = {id(n.value) for n in tape.nodes if n.parents}
         assert len(arrays) < len({id(n.value) for n in ref_tape.nodes if n.parents})
 
