@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Node, Tape, eager
 from .ops import BatchNormParams
-from .tensor import ConvKernel, Tensor
+from .tensor import Tensor
 
 __all__ = [
     "ConfigError",
@@ -140,14 +140,30 @@ class ConvLayerSpec:
         return (self.kernel - 1) // 2
 
     def weight_shape(self) -> tuple[int, int, int, int]:
+        """The 4-D (c_out, c_in_per_group, k, k) shape the weight is drawn in."""
         cpg = 1 if self.kind == "depthwise" else self.c_in
         return (self.c_out, cpg, self.kernel, self.kernel)
 
 
 @dataclass
 class LayerParams:
-    kernel: ConvKernel
+    """One layer's learnable arrays, each in the shape of the tape leaf that
+    takes it: the weight as (c, k, k) depthwise, (o, c) pointwise and
+    (o, c, k, k) dense; the batch norm's gamma and beta; an optional bias."""
+
+    weight: np.ndarray
     bn: BatchNormParams | None
+    bias: np.ndarray | None = None
+
+    def slots(self) -> Iterator[tuple[str, object, str]]:
+        """(leaf suffix, owner, attribute) of each learnable array, in the
+        order the layer's forward records their leaves."""
+        yield "weight", self, "weight"
+        if self.bn is not None:
+            yield "gamma", self.bn, "gamma"
+            yield "beta", self.bn, "beta"
+        if self.bias is not None:
+            yield "bias", self, "bias"
 
 
 @dataclass
@@ -209,14 +225,18 @@ def block_layer_table(cfg: BlockConfig) -> tuple[ConvLayerSpec, ...]:
 def _init_layer(spec: ConvLayerSpec,
                 rng: np.random.Generator | None) -> LayerParams:
     """Conv weights ~ N(0, 2/fan_out), or zeros without ``rng``; BN gamma 1
-    beta 0. The fresh weight array is wrapped, not copied."""
+    beta 0. The weight is drawn in ``spec.weight_shape()`` and kept in its
+    leaf's shape."""
     if rng is None:
         w = np.zeros(spec.weight_shape())
     else:
         fan_out = spec.kernel * spec.kernel * spec.c_out // spec.groups
         w = rng.normal(0.0, np.sqrt(2.0 / fan_out), size=spec.weight_shape())
-    return LayerParams(ConvKernel._wrap(w, groups=spec.groups),
-                       BatchNormParams.identity(spec.c_out) if spec.bn else None)
+    if spec.kind == "depthwise":
+        w = w[:, 0]
+    elif spec.kind == "pointwise":
+        w = w[:, :, 0, 0]
+    return LayerParams(w, BatchNormParams.identity(spec.c_out) if spec.bn else None)
 
 
 def init_block_params(cfg: BlockConfig, rng: np.random.Generator | None = None,
@@ -234,16 +254,14 @@ def init_block_params(cfg: BlockConfig, rng: np.random.Generator | None = None,
 
 def _apply_layer(tape: Tape, x: Node, spec: ConvLayerSpec, lp: LayerParams,
                  training: bool, prefix: str = "") -> Node:
-    w = lp.kernel.data
     base = f"{prefix}{spec.name}"
+    w = tape.leaf(lp.weight, f"{base}.weight")
     if spec.kind == "depthwise":
-        y = tape.depthwise_conv(x, tape.leaf(w[:, 0], f"{base}.weight"),
-                                stride=spec.stride)
+        y = tape.depthwise_conv(x, w, stride=spec.stride)
     elif spec.kind == "pointwise":
-        y = tape.pointwise_conv(x, tape.leaf(w[:, :, 0, 0], f"{base}.weight"))
+        y = tape.pointwise_conv(x, w)
     else:
-        y = tape.conv2d(x, tape.leaf(w, f"{base}.weight"),
-                        stride=spec.stride, pad=spec.pad)
+        y = tape.conv2d(x, w, stride=spec.stride, pad=spec.pad)
     # Only this layer reads the fresh conv output, so its batch norm and
     # ReLU6 overwrite it instead of allocating two more arrays, and the
     # layer's recorded nodes share that one array: the training batch-norm

@@ -42,6 +42,7 @@ _FLAG_RULES = (
     ("tol", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     ("step", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("lr", lambda v: 0 < v < math.inf, "a positive finite number"),
+    ("threshold", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
 )
 
@@ -67,8 +68,7 @@ def _network_spec(args) -> NetworkSpec:
         name, stages = load_stage_table(doc)
         divisor = args.divisor if args.divisor else default_divisor(args.width)
         return NetworkSpec(name, stages, args.width, divisor, args.resolution,
-                           args.num_classes, getattr(args, "variant", 1),
-                           args.seed)
+                           args.num_classes, args.variant, args.seed)
     maker = {"hbonet": hbonet_spec, "mobilenetv2": mobilenetv2_spec}.get(args.preset)
     if maker is None:
         raise ConfigError(f"unknown preset {args.preset!r}")
@@ -76,11 +76,11 @@ def _network_spec(args) -> NetworkSpec:
                   divisor=args.divisor or None, num_classes=args.num_classes,
                   seed=args.seed)
     if args.preset == "hbonet":
-        kwargs["variant"] = getattr(args, "variant", 1)
+        kwargs["variant"] = args.variant
     return maker(**kwargs)
 
 
-def _add_network_flags(p, variant=True):
+def _add_network_flags(p):
     p.add_argument("--preset", choices=["hbonet", "mobilenetv2"],
                    default="hbonet")
     p.add_argument("--spec", help="stage-table JSON file overriding the preset")
@@ -90,9 +90,8 @@ def _add_network_flags(p, variant=True):
                    help="channel divisor (default: policy by width)")
     p.add_argument("--num-classes", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    if variant:
-        p.add_argument("--variant", type=int, default=1,
-                       help="max spatial contraction units per block")
+    p.add_argument("--variant", type=int, default=1,
+                   help="max spatial contraction units per block")
 
 
 def cmd_analyze(args) -> int:

@@ -18,7 +18,6 @@ from .blocks import (
     init_block_params,
     inverted_residual_forward_node,
 )
-from .tensor import ConvKernel
 
 __all__ = ["CheckResult", "run_gradient_checks", "block_weight_checks"]
 
@@ -153,28 +152,19 @@ def block_weight_checks(cfg: BlockConfig, x: np.ndarray, step: float,
     results.append(CheckResult(f"{label}/input", err))
 
     for lname, lp in p:
-        slots = [(f"{lname}.weight", lp.kernel.data,
-                  lambda a, lp=lp: setattr(
-                      lp, "kernel",
-                      ConvKernel._wrap(a.reshape(lp.kernel.shape),
-                                       groups=lp.kernel.groups)))]
-        if lp.bn is not None:
-            slots.append((f"{lname}.gamma", lp.bn.gamma,
-                          lambda a, lp=lp: setattr(lp.bn, "gamma", a)))
-            slots.append((f"{lname}.beta", lp.bn.beta,
-                          lambda a, lp=lp: setattr(lp.bn, "beta", a)))
-        for pname, current, setter in slots:
-            original = current.copy()
+        for suffix, owner, attr in lp.slots():
+            pname = f"{lname}.{suffix}"
+            original = getattr(owner, attr).copy()
 
-            def numeric(a, setter=setter, original=original):
-                setter(a)
+            def numeric(a, owner=owner, attr=attr, original=original):
+                setattr(owner, attr, a)
                 try:
                     return float((run_eager(p, x) * weights).sum())
                 finally:
-                    setter(original)
+                    setattr(owner, attr, original)
 
-            analytic = grads[pname]
-            err = finite_diff_check(numeric, original, step, analytic=analytic)
+            err = finite_diff_check(numeric, original, step,
+                                    analytic=grads[pname])
             results.append(CheckResult(f"{label}/{pname}", err))
     return results
 

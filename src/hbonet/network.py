@@ -24,16 +24,17 @@ from .blocks import (
     BlockConfig,
     BlockKind,
     ConfigError,
+    BlockParams,
     ConvLayerSpec,
+    LayerParams,
     _apply_layer,
     _init_layer,
     block_layer_table,
     hbo_forward_node,
-    init_block_params,
     inverted_residual_forward_node,
     make_divisible,
 )
-from .tensor import ConvKernel, DimensionError, Tensor
+from .tensor import DimensionError, Tensor
 
 __all__ = [
     "StageSpec",
@@ -189,8 +190,10 @@ def mobilenetv2_spec(width: float = 1.0, resolution: int = 224,
 # network units
 # ---------------------------------------------------------------------------
 
-# Each unit maps the ledger row name of every convolution it runs to that
-# convolution's layer-table row, in ``specs``.
+# Each unit's ``layers`` maps the base name of every layer it holds, which is
+# also the ledger row name of that layer's convolution, to the layer's
+# ``(ConvLayerSpec, LayerParams)``. The network's parameters are the layers'
+# arrays, named ``base.suffix`` after the tape leaves that take them.
 
 class ConvUnit:
     """A standalone convolution (stem, projections, head)."""
@@ -199,15 +202,11 @@ class ConvUnit:
                  rng: np.random.Generator | None):
         self.name = name
         self.stage = stage
-        self.spec = spec
-        self.specs = {name: spec}
-        self.params = _init_layer(spec, rng)
+        self.layers = {name: (spec, _init_layer(spec, rng))}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        return _apply_layer(tape, x, self.spec, self.params, training)
-
-    def named_params(self):
-        yield self.name, self.params
+        spec, lp = self.layers[self.name]
+        return _apply_layer(tape, x, spec, lp, training)
 
 
 class BlockUnit:
@@ -216,21 +215,16 @@ class BlockUnit:
         self.name = name
         self.stage = stage
         self.cfg = cfg
-        self.params = init_block_params(cfg, rng, zero=rng is None)
-
-    @property
-    def specs(self):
-        return {f"{self.name}.{s.name}": s for s in block_layer_table(self.cfg)}
+        table = block_layer_table(cfg)
+        self.params = BlockParams({s.name: _init_layer(s, rng) for s in table})
+        self.layers = {f"{name}.{s.name}": (s, self.params.layers[s.name])
+                       for s in table}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
         fn = (hbo_forward_node if self.cfg.kind is BlockKind.HARMONIOUS_BOTTLENECK
               else inverted_residual_forward_node)
         return fn(x, self.cfg, self.params, tape, training,
                   prefix=f"{self.name}.")
-
-    def named_params(self):
-        for lname, lp in self.params:
-            yield f"{self.name}.{lname}", lp
 
 
 class PoolUnit:
@@ -239,14 +233,11 @@ class PoolUnit:
     def __init__(self, name: str, stage: str):
         self.name = name
         self.stage = stage
-        self.specs = {}
+        self.layers = {}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
         k = x.value.shape[2]
         return tape.avgpool(x, k, k)
-
-    def named_params(self):
-        return iter(())
 
 
 class ClassifierUnit:
@@ -256,21 +247,22 @@ class ClassifierUnit:
                  rng: np.random.Generator | None):
         self.name = name
         self.stage = stage
-        self.spec = ConvLayerSpec(name, "pointwise", c_in, num_classes,
-                                  1, 1, False, False)
-        self.specs = {name: self.spec}
+        spec = ConvLayerSpec(name, "pointwise", c_in, num_classes,
+                             1, 1, False, False)
         if rng is None:
-            self.weight = np.zeros((num_classes, c_in))
+            weight = np.zeros((num_classes, c_in))
         else:
             # kaiming-style 2/fan_out blows up here (fan_out is only the
             # class count); a small normal keeps initial logits near zero
-            self.weight = rng.normal(0.0, 0.01, size=(num_classes, c_in))
-        self.bias = np.zeros(num_classes)
+            weight = rng.normal(0.0, 0.01, size=(num_classes, c_in))
+        self.layers = {name: (spec, LayerParams(weight, None,
+                                                np.zeros(num_classes)))}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        y = tape.pointwise_conv(x, tape.leaf(self.weight, f"{self.name}.weight"))
+        _, lp = self.layers[self.name]
+        y = tape.pointwise_conv(x, tape.leaf(lp.weight, f"{self.name}.weight"))
         y = tape.flatten_spatial(y)
-        return tape.add_bias(y, tape.leaf(self.bias, f"{self.name}.bias"))
+        return tape.add_bias(y, tape.leaf(lp.bias, f"{self.name}.bias"))
 
 
 class Network:
@@ -294,44 +286,42 @@ class Network:
             y = unit.forward_node(y, tape, training)
         return y
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Flat name -> array of every learnable parameter, builder order."""
-        out: dict[str, np.ndarray] = {}
+    def _slots(self):
+        """(parameter name, owner, attribute) of every learnable array."""
         for unit in self.units:
-            if isinstance(unit, ClassifierUnit):
-                out[f"{unit.name}.weight"] = unit.weight
-                out[f"{unit.name}.bias"] = unit.bias
-                continue
-            for base, lp in unit.named_params():
-                out[f"{base}.weight"] = lp.kernel.data
-                if lp.bn is not None:
-                    out[f"{base}.gamma"] = lp.bn.gamma
-                    out[f"{base}.beta"] = lp.bn.beta
-        return out
+            for base, (_, lp) in unit.layers.items():
+                for suffix, owner, attr in lp.slots():
+                    yield f"{base}.{suffix}", owner, attr
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Flat name -> array of every learnable parameter, in the order a
+        recording forward creates their leaves. Each value is the array that
+        leaf takes, in its shape: depthwise weights (c, k, k), pointwise and
+        classifier weights (o, c), dense weights (o, c, k, k)."""
+        return {name: getattr(owner, attr) for name, owner, attr in self._slots()}
 
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        for unit in self.units:
-            if isinstance(unit, ClassifierUnit):
-                unit.weight = np.asarray(values[f"{unit.name}.weight"],
-                                         dtype=np.float64)
-                unit.bias = np.asarray(values[f"{unit.name}.bias"],
-                                       dtype=np.float64)
-                continue
-            for base, lp in unit.named_params():
-                lp.kernel = ConvKernel._wrap(
-                    np.asarray(values[f"{base}.weight"], dtype=np.float64)
-                    .reshape(lp.kernel.shape),
-                    groups=lp.kernel.groups,
-                )
-                if lp.bn is not None:
-                    lp.bn.gamma = np.asarray(values[f"{base}.gamma"],
-                                             dtype=np.float64)
-                    lp.bn.beta = np.asarray(values[f"{base}.beta"],
-                                            dtype=np.float64)
+        """Adopt ``values[name]`` for every parameter, without a copy when it
+        is a float64 array. Every name and shape is checked before anything
+        is assigned; a missing name or a shape other than the parameter's
+        raises :class:`DimensionError` naming it. Other names are ignored."""
+        slots = list(self._slots())
+        adopted = []
+        for name, owner, attr in slots:
+            if name not in values:
+                raise DimensionError(f"parameter {name!r} missing")
+            value = np.asarray(values[name], dtype=np.float64)
+            want = getattr(owner, attr).shape
+            if value.shape != want:
+                raise DimensionError(f"parameter {name!r} has shape "
+                                     f"{value.shape}, expected {want}")
+            adopted.append(value)
+        for (_, owner, attr), value in zip(slots, adopted):
+            setattr(owner, attr, value)
 
     def conv_layers(self):
         """Every convolution with its input spatial dims at spec resolution."""
-        specs = {k: s for unit in self.units for k, s in unit.specs.items()}
+        specs = {k: s for unit in self.units for k, (s, _) in unit.layers.items()}
         for name, _, _, _, hw in self.rows:
             if name in specs:
                 yield name, specs[name], hw
@@ -357,6 +347,9 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
     res = spec.input_resolution
     if res < 32:
         raise ConfigError(f"input resolution {res} too small")
+    if spec.contraction_variant < 1:
+        raise ConfigError(f"contraction variant must be >= 1, "
+                          f"got {spec.contraction_variant}")
     rng = np.random.default_rng(spec.seed) if init_weights else None
     units: list = []
     shapes: list[tuple[int, int, int]] = []

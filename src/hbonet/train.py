@@ -191,11 +191,7 @@ def train_toy(net_spec: NetworkSpec | None = None,
             if not np.isfinite(loss.value):
                 raise TrainingError(f"loss diverged at step {step}", step)
             grads = {n.name: g for n, g in backward(tape, loss).items()}
-            # depthwise/pointwise leaves are reshaped views of the parameters
-            params = sgd_step(
-                params,
-                {k: grads[k].reshape(params[k].shape) for k in params},
-                state, lr)
+            params = sgd_step(params, grads, state, lr)
             net.set_parameters(params)
             losses.append(float(loss.value))
             correct += int((np.argmax(logits.value, axis=1) == yb).sum())

@@ -22,7 +22,7 @@ from hbonet.blocks import (
     make_divisible,
 )
 from hbonet.network import build_network, forward, hbonet_spec
-from hbonet.tensor import Tensor, tensor_equal_within
+from hbonet.tensor import ConvKernel, Tensor, tensor_equal_within
 
 HBO = BlockKind.HARMONIOUS_BOTTLENECK
 INV = BlockKind.INVERTED_RESIDUAL
@@ -113,7 +113,9 @@ class TestLayerTable:
         cfg = BlockConfig(6, 8, 2, 2, HBO)
         p = init_block_params(cfg, np.random.default_rng(0))
         for spec in block_layer_table(cfg):
-            assert p.layers[spec.name].kernel.shape == spec.weight_shape()
+            leaf = {"depthwise": (spec.c_out, spec.kernel, spec.kernel),
+                    "pointwise": (spec.c_out, spec.c_in)}[spec.kind]
+            assert p.layers[spec.name].weight.shape == leaf
             assert (p.layers[spec.name].bn is not None) == spec.bn
 
 
@@ -181,15 +183,20 @@ class TestChannelLaw:
         assert tensor_equal_within(out, x, 0.0)
 
 
+def _kernel(spec, lp):
+    """The layer's leaf-shaped weight as the ConvKernel the eager ops take."""
+    return ConvKernel(lp.weight.reshape(spec.weight_shape()), groups=spec.groups)
+
+
 def compose_hbo_from_primitives(x, cfg, p):
     """Straight-line re-wiring of the block from the public eager ops."""
     def conv_bn_act(t, name):
         spec = {s.name: s for s in block_layer_table(cfg)}[name]
         lp = p.layers[name]
         if spec.kind == "depthwise":
-            t = ops.depthwise_conv(t, lp.kernel, stride=spec.stride)
+            t = ops.depthwise_conv(t, _kernel(spec, lp), stride=spec.stride)
         else:
-            t = ops.pointwise_conv(t, lp.kernel)
+            t = ops.pointwise_conv(t, _kernel(spec, lp))
         if lp.bn is not None:
             t = ops.batchnorm(t, lp.bn, training=False)
         if spec.act:
@@ -246,9 +253,9 @@ def compose_inverted_residual_from_primitives(x, cfg, p):
     for spec in block_layer_table(cfg):
         lp = p.layers[spec.name]
         if spec.kind == "depthwise":
-            y = ops.depthwise_conv(y, lp.kernel, stride=spec.stride)
+            y = ops.depthwise_conv(y, _kernel(spec, lp), stride=spec.stride)
         else:
-            y = ops.pointwise_conv(y, lp.kernel)
+            y = ops.pointwise_conv(y, _kernel(spec, lp))
         y = ops.batchnorm(y, lp.bn, training=False)
         if spec.act:
             y = ops.relu6(y)
@@ -285,7 +292,7 @@ class TestInPlaceEpilogue:
         self._random_statistics(p, rng)
         x = rng.normal(size=(n, cfg.c_in, 12, 12))
         before = [x.tobytes()] + [a.tobytes() for _, lp in p
-                                  for a in (lp.kernel.data, lp.bn.gamma,
+                                  for a in (lp.weight, lp.bn.gamma,
                                             lp.bn.beta, lp.bn.running_mean,
                                             lp.bn.running_var)]
         if cfg.kind is HBO:
@@ -301,7 +308,7 @@ class TestInPlaceEpilogue:
         want = compose(Tensor(x), cfg, p).data
         assert got.tobytes() == taped.value.tobytes() == want.tobytes()
         after = [x.tobytes()] + [a.tobytes() for _, lp in p
-                                 for a in (lp.kernel.data, lp.bn.gamma,
+                                 for a in (lp.weight, lp.bn.gamma,
                                            lp.bn.beta, lp.bn.running_mean,
                                            lp.bn.running_var)]
         assert after == before

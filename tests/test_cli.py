@@ -148,12 +148,16 @@ class TestBadInput:
         ["analyze", "--num-classes", "0"],
         ["analyze", "--tol", "-1", "--expect-mflops", "300"],
         ["analyze", "--seed", "-1"],
+        ["analyze", "--variant", "0"],
+        ["analyze", "--variant", "-3"],
         ["analyze", "--spec", "{missing}"],
         ["analyze", "--spec", "{not_json}"],
         ["analyze", "--spec", "{json_list}"],
         ["trace", "--num-classes", "0"],
         ["infer", "--batch", "0"],
         ["gradcheck", "--step", "0"],
+        ["gradcheck", "--threshold", "-1"],
+        ["gradcheck", "--threshold", "nan"],
         ["train-toy", "--width", "0"],
         ["train-toy", "--lr", "-1"],
         ["train-toy", "--label-smoothing", "1"],

@@ -1,7 +1,9 @@
 """Network builder: stage-table ingestion, shape tracing, width scaling,
 inference behavior, and the ledger and shape trace checked against what the
 forward executes."""
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from hbonet.network import (
     preset_stage_table,
     trace_shapes,
 )
-from hbonet.tensor import Tensor
+from hbonet.tensor import DimensionError, Tensor
 
 TABLE1_COLUMN = [
     ("conv1", (32, 112, 112)),
@@ -231,6 +233,12 @@ class TestCascadeVariant:
         assert by_name["hbo5_1"].cfg.contraction_count == 2
         assert by_name["hbo5_2"].cfg.contraction_count == 1
 
+    @pytest.mark.parametrize("variant", [0, -3])
+    def test_variant_below_one_rejected(self, variant):
+        with pytest.raises(ConfigError, match="variant"):
+            build_network(hbonet_spec(width=0.25, resolution=96, variant=variant),
+                          init_weights=False)
+
     def test_variant_forward_shapes_unchanged(self):
         net = build_hbonet(width=0.25, divisor=8, resolution=96, variant=2,
                            num_classes=4)
@@ -266,6 +274,52 @@ class TestParameters:
         b = build_hbonet(width=0.25, resolution=96, seed=5).parameters()
         for k in a:
             assert np.array_equal(a[k], b[k])
+
+    # sha256 over each parameter's name and bytes, in order, of the seed-0
+    # networks; pins the initial draws across changes of parameter format
+    CONTRACT = [
+        pytest.param(hbonet_spec(width=0.25, divisor=2, resolution=32,
+                                 num_classes=3),
+                     "d65da1773bc577c80ae3b9bac77328e7"
+                     "b4447e22f64cc849795689bc813a98b5", id="toy-hbonet"),
+        pytest.param(mobilenetv2_spec(width=0.35, resolution=96),
+                     "27652288ea599ea1f18419d56ab412b4"
+                     "fcd5ecc01d074edbaae7e7d8733880ab", id="mobilenetv2-0.35@96"),
+    ]
+
+    @pytest.mark.parametrize("spec,digest", CONTRACT)
+    def test_parameters_are_the_forward_leaves(self, spec, digest):
+        net = build_network(spec)
+        params = net.parameters()
+        tape = Tape()
+        res = spec.input_resolution
+        net.forward_node(tape.leaf(np.zeros((1, 3, res, res)), "input"), tape)
+        leaves = [n for n in tape.nodes if not n.parents and n.name != "input"]
+        assert list(params) == [n.name for n in leaves]
+        assert all(params[n.name] is n.value for n in leaves)
+        h = hashlib.sha256()
+        for name, value in params.items():
+            h.update(name.encode())
+            h.update(value.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("spec,digest", CONTRACT)
+    def test_set_parameters_adopts_after_checking_all(self, spec, digest):
+        net = build_network(spec, init_weights=False)
+        new = {k: v + 1.0 for k, v in net.parameters().items()}
+        net.set_parameters(new)
+        got = net.parameters()
+        assert list(got) == list(new)
+        assert all(got[k] is new[k] for k in new)
+
+        last = list(new)[-1]
+        wrong_shape = {k: v * 2.0 for k, v in new.items()}
+        wrong_shape[last] = np.zeros(new[last].shape + (1,))
+        missing = {k: v * 2.0 for k, v in new.items() if k != last}
+        for bad in (wrong_shape, missing):
+            with pytest.raises(DimensionError, match=re.escape(repr(last))):
+                net.set_parameters(bad)
+            assert all(net.parameters()[k] is new[k] for k in new)
 
 
 # ---------------------------------------------------------------------------
