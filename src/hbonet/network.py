@@ -23,8 +23,8 @@ from .autodiff import Node, Shape, ShapeTape, Tape
 from .blocks import (
     BlockConfig,
     BlockKind,
-    ConfigError,
     BlockParams,
+    ConfigError,
     ConvLayerSpec,
     LayerParams,
     _apply_layer,

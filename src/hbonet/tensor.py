@@ -127,13 +127,6 @@ class ConvKernel:
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "groups", int(groups))
 
-    @classmethod
-    def _wrap(cls, arr: np.ndarray, groups: int = 1) -> "ConvKernel":
-        k = object.__new__(cls)
-        object.__setattr__(k, "data", _freeze(arr))
-        object.__setattr__(k, "groups", int(groups))
-        return k
-
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
