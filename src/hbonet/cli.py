@@ -77,6 +77,9 @@ def _network_spec(args) -> NetworkSpec:
                   seed=args.seed)
     if args.preset == "hbonet":
         kwargs["variant"] = args.variant
+    elif args.variant != 1:
+        raise ConfigError(f"--variant applies to the hbonet preset only, "
+                          f"got {args.variant} for {args.preset}")
     return maker(**kwargs)
 
 

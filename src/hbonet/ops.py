@@ -9,15 +9,29 @@ taped values are one computation; they check only the ``ConvKernel`` fields
 (groups, c_out, kernel size) that the tape never sees. Every convolution path is
 tested against ``conv2d_oracle`` at 1e-12.
 
-Tensors are NCHW at every interface. Inside, depthwise convolution turns
-each kernel tap into long numpy sweeps, in one of two layouts chosen by the
-batch size alone: a single image (n == 1) is split into stride x stride
-phase planes, so a tap is one contiguous slice per channel over a
-full-width output grid; a batch (n > 1) is copied to a zero-padded
-(c, h, w, n) array, so a tap is one run of ow*n elements per output row
-with the batch innermost. Either way each output element adds the same taps
-in the same order as a plain NCHW shift-and-add, so both layouts give its
-values bit for bit.
+Tensors are NCHW at every interface. Inside, depthwise convolution and
+its VJP turn each kernel tap into long numpy sweeps over one layout: the
+zero-padded input split into stride x stride phase planes
+(``_phase_planes``), shape (s, s, c, hq, wq, n) with the batch innermost,
+where a tap at any stride reads one (c, oh, ow, n) window. A single image
+(n == 1) is swept as one contiguous slice per channel over a full-width
+output grid; a batch as one run of ow*n elements per output row. The VJP
+holds g as (c, oh, ow, n) and scatters dx into phase planes that are
+interleaved into NCHW once at the end. Each output and dx element adds the
+same taps in the same order as a plain NCHW shift-and-add, so the layouts
+give its values bit for bit.
+
+The per-channel sums that set training bits follow an order written down
+here rather than left to numpy: ``_nchw_sums`` is numpy 2.4.6's
+``sum(axis=(0, 2, 3))`` of an NCHW array, computed from the batch-innermost
+layout. That order starts from +0 and adds, in order over the batch, the
+pairwise sum of each image's h*w run of a channel; a channel alone is one
+run of n*h*w. A pairwise sum (``_pairwise``) adds a run under 8 elements in
+sequence, a run of 8 to 128 in 8 interleaved lanes combined as
+((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then its tail in
+sequence, and splits a longer run at half its length, rounded down to a
+multiple of 8. The depthwise ``dw`` and the global average pool take their
+sums from it; a test pins it to numpy's bytes.
 
 Per-channel elementwise sweeps (the depthwise taps, the batch-norm affine)
 whose rows are long run inside ``_sweep``, which shrinks numpy's ufunc
@@ -196,7 +210,8 @@ def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.nda
     """Depthwise convolution via shift-and-add; w has shape (c, kh, kw).
 
     Each live tap is one multiply into a scratch buffer and one add into an
-    accumulator; only the memory layout of that sweep depends on the batch:
+    accumulator, over the input's stride x stride phase planes
+    (``_phase_planes``); only the sweep's shape depends on the batch:
 
     - n == 1: the flat layout (``_depthwise_flat``). A tap is one contiguous
       run over a whole channel of a phase plane, oh*wq elements long.
@@ -219,49 +234,81 @@ def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.nda
     return kernel(x, w, stride, pad, oh, ow, taps)
 
 
-def _depthwise_rows(x, w, stride, pad, oh, ow, taps):
-    """Row layout: a zero-padded (c, h, w, n) copy of ``x``, so each tap is
-    one strided sweep into a (c, oh, ow, n) accumulator with the batch
-    innermost (runs of ow*n elements)."""
+def _phases(s: int, pad: int, h: int, w: int):
+    """For each phase (a, b) of stride ``s``: the first input row y0 and
+    column x0 that land in it, and where they land in the plane, (m0, q0)."""
+    for a in range(s):
+        y0 = (a - pad) % s
+        for b in range(s):
+            x0 = (b - pad) % s
+            yield a, b, y0, x0, (y0 + pad) // s, (x0 + pad) // s
+
+
+def _phase_planes(x: np.ndarray, s: int, pad: int, spare_rows: int = 0) -> np.ndarray:
+    """The zero-padded NCHW ``x`` as stride x stride phase planes of shape
+    (s, s, c, hq, wq, n), batch innermost: padded pixel (r, q) sits in plane
+    (r % s, q % s) at (r // s, q // s). hq and wq are the padded size over
+    s, rounded up, plus ``spare_rows`` zero rows. At s == 1 this is the
+    padded (c, h, w, n) array."""
     n, c, h, wd = x.shape
-    xt = np.zeros((c, h + 2 * pad, wd + 2 * pad, n))
-    xt[:, pad:pad + h, pad:pad + wd] = x.transpose(1, 2, 3, 0)
-    out = np.zeros((c, oh, ow, n))
+    hq = -(-(h + 2 * pad) // s) + spare_rows
+    wq = -(-(wd + 2 * pad) // s)
+    planes = np.zeros((s, s, c, hq, wq, n))
+    for a, b, y0, x0, m0, q0 in _phases(s, pad, h, wd):
+        src = x[:, :, y0::s, x0::s].transpose(1, 2, 3, 0)
+        planes[a, b, :, m0:m0 + src.shape[1], q0:q0 + src.shape[2]] = src
+    return planes
+
+
+def _interleave_planes(planes: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
+    """The inverse of ``_phase_planes``: the C-contiguous (n, c, h, w) array
+    of the unpadded pixels that ``planes`` holds."""
+    s, c, n = planes.shape[0], planes.shape[2], planes.shape[5]
+    out = np.empty((n, c, h, w))
+    for a, b, y0, x0, m0, q0 in _phases(s, pad, h, w):
+        dst = out[:, :, y0::s, x0::s]
+        dst[...] = planes[a, b, :, m0:m0 + dst.shape[2],
+                          q0:q0 + dst.shape[3]].transpose(3, 0, 1, 2)
+    return out
+
+
+def _tap(planes: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
+    """The (c, oh, ow, n) view of ``planes`` that tap (i, j) reads: output
+    (y, x) reads plane (i % s, j % s) at (y + i // s, x + j // s)."""
+    s = planes.shape[0]
+    return planes[i % s, j % s, :, i // s:i // s + oh, j // s:j // s + ow]
+
+
+def _depthwise_rows(x, w, stride, pad, oh, ow, taps):
+    """Row layout: each tap is one sweep over the (c, oh, ow, n) view of the
+    phase planes that it reads (``_tap``), into a (c, oh, ow, n)
+    accumulator; rows are ow*n elements at every stride."""
+    n = x.shape[0]
+    planes = _phase_planes(x, stride, pad)
+    out = np.zeros((w.shape[0], oh, ow, n))
     tmp = np.empty_like(out)
-    # a tap's innermost row: ow*n contiguous elements, or n at stride 2
-    with _sweep(ow * n if stride == 1 else n):
+    with _sweep(ow * n):
         for i, j in taps:
-            np.multiply(w[:, i, j, None, None, None],
-                        xt[:, i:i + stride * oh:stride, j:j + stride * ow:stride],
+            np.multiply(w[:, i, j, None, None, None], _tap(planes, i, j, oh, ow),
                         out=tmp)
             out += tmp
-    del xt, tmp  # freed before the NCHW copy to keep peak memory down
+    del planes, tmp  # freed before the NCHW copy to keep peak memory down
     return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
 
 
 def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
-    """Flat layout: the zero-padded input split into stride x stride phase
-    planes of shape (s, s, c, hq, wq, n), where padded pixel (r, q) sits in
-    plane (r % s, q % s) at (r // s, q // s). Output (y, x) of tap (i, j)
-    then reads plane (i % s, j % s) at (y + i//s, x + j//s), so the tap is
-    one contiguous slice at flat offset (i//s * wq + j//s) * n, oh*wq*n
-    long, over a full-width (oh, wq) grid. The wq - ow columns past ow wrap
-    into the next row and are dropped by the final NCHW copy; the spare row
-    of hq absorbs the last tap's overrun. Channels are swept in blocks of
-    about ``_DW_BLOCK`` accumulator elements."""
-    n, c, h, wd = x.shape
+    """Flat layout: the phase planes (``_phase_planes``, one spare row)
+    flattened per channel, so the window tap (i, j) reads (``_tap``) is one
+    contiguous slice at flat offset (i//s * wq + j//s) * n, oh*wq*n long,
+    over a full-width (oh, wq) grid. The wq - ow columns past ow wrap into
+    the next row and are dropped by the final NCHW copy; the spare row
+    absorbs the last tap's overrun. Channels are swept in blocks of about
+    ``_DW_BLOCK`` accumulator elements."""
+    n, c = x.shape[0], x.shape[1]
     s = stride
-    wq = -(-(wd + 2 * pad) // s)
-    hq = -(-(h + 2 * pad) // s) + 1
-    planes = np.zeros((s, s, c, hq, wq, n))
-    for a in range(s):
-        y0 = (a - pad) % s   # first input row that lands in phase a
-        for b in range(s):
-            x0 = (b - pad) % s
-            src = x[:, :, y0::s, x0::s].transpose(1, 2, 3, 0)
-            m0, q0 = (y0 + pad) // s, (x0 + pad) // s
-            planes[a, b, :, m0:m0 + src.shape[1], q0:q0 + src.shape[2]] = src
-    flat = planes.reshape(s, s, c, hq * wq * n)
+    planes = _phase_planes(x, s, pad, spare_rows=1)
+    wq = planes.shape[4]
+    flat = planes.reshape(s, s, c, -1)
     span = oh * wq * n
     block = max(1, _DW_BLOCK // span)
     out = np.empty((n, c, oh, ow))
@@ -280,6 +327,64 @@ def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
             out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
                 .transpose(3, 0, 1, 2)
     return out
+
+
+# the longest run numpy's pairwise sum adds in 8 lanes without splitting it
+_PW_BLOCK = 128
+
+
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum along axis 1 of an (r, m, k) array: (r, k), in
+    the order the module docstring states, each step one sweep over all r
+    and k. ``np.add.reduce`` over an outer axis adds the lanes' blocks in
+    order, but from +0 rather than from the first block; that changes at
+    most the sign of a zero sum, which the leading +0 of ``_nchw_sums``
+    erases."""
+    m = a.shape[1]
+    if m < 8:
+        out = a[:, 0].copy()
+        for i in range(1, m):
+            out += a[:, i]
+        return out
+    if m > _PW_BLOCK:
+        half = m // 2 - (m // 2) % 8
+        if m == 2 * half:   # two equal halves: both at once, as 2r runs
+            both = _pairwise(a.reshape(-1, half, a.shape[2]))
+            both = both.reshape(a.shape[0], 2, a.shape[2])
+            return both[:, 0] + both[:, 1]
+        out = _pairwise(a[:, :half])
+        out += _pairwise(a[:, half:])
+        return out
+    m8 = m - m % 8
+    lanes = np.add.reduce(a[:, :m8].reshape(a.shape[0], m8 // 8, 8, a.shape[2]),
+                          axis=1)
+    pairs = lanes[:, 0::2] + lanes[:, 1::2]
+    quads = pairs[:, 0::2] + pairs[:, 1::2]
+    out = quads[:, 0] + quads[:, 1]
+    for i in range(m8, m):
+        out += a[:, i]
+    return out
+
+
+def _nchw_sums(p: np.ndarray) -> np.ndarray:
+    """Per-channel sums of (t, c, h, w, n) arrays held batch innermost:
+    ``out[t]`` is, bit for bit, numpy 2.4.6's ``sum(axis=(0, 2, 3))`` of
+    the C-contiguous (n, c, h, w) copy of ``p[t]``, in the order the module
+    docstring states; ``test_nchw_sums_equal_numpy_sum`` pins it."""
+    t, c, h, w, n = p.shape
+    if c == 1:
+        runs = p.reshape(t, h * w, n).transpose(0, 2, 1).reshape(t, -1, 1)
+    else:
+        runs = p.reshape(t * c, h * w, n)
+    if runs.shape[2] == 1:
+        # one run per row: lay the rows innermost, so each step of the
+        # pairwise sum is one contiguous sweep over all of them
+        partial = _pairwise(np.ascontiguousarray(runs[:, :, 0].T)[None])
+    else:
+        partial = np.ascontiguousarray(_pairwise(runs).T)
+    # partial is (n, rows) with rows innermost, and two or more rows where
+    # n > 1: reducing its outer axis adds from +0 over the batch in order
+    return np.add.reduce(partial, axis=0).reshape(t, c)
 
 
 def _pointwise_nd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -333,21 +438,36 @@ def _upsample_nd(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Average pooling without padding.
+    """Average pooling without padding, each sum in an order stated here.
 
-    A 2x2 stride-2 pool with at least two output columns adds its four
-    strided taps as ((x00 + x01) + (x10 + x11)) / 4: that is the order
-    numpy's mean over the 2x2 window view uses there, so the two agree
-    bitwise, without the window view. Everything else keeps the mean: with
-    one output column numpy adds the four in sequence instead, and the
-    row-then-rows order differs from the mean in the last bit at k = 4 and
-    k = 7.
+    - A kernel that covers the whole map (kernel == h == w, the global
+      pool) divides each image's per-channel sum from ``_nchw_sums`` by
+      kernel**2.
+    - A 2x2 stride-2 pool adds its four strided taps. With two or more
+      output columns the order is (x00 + x01) + (x10 + x11); with one it
+      is (((+0 + x00) + x01) + x10) + x11.
+
+    Each is bit for bit numpy's mean over the window view, which picks its
+    sum's order from the view's shape, except that the two-column order
+    gives -0 where all four taps are -0 and the mean gives +0. Any other
+    geometry (a 2x2 window at stride 1, say, or a kernel of 1 or 3 that
+    leaves more than one output) still takes that mean; no network builds
+    one.
     """
-    if kernel == 2 and stride == 2 and x.shape[3] >= 4:
-        oh, ow = x.shape[2] // 2, x.shape[3] // 2
+    n, c, h, w = x.shape
+    if kernel == h == w:
+        return (_nchw_sums(x.reshape(1, n * c, h, w, 1)) / (h * w)).reshape(n, c, 1, 1)
+    if kernel == 2 and stride == 2:
+        oh, ow = h // 2, w // 2
         t = [x[:, :, i:2 * oh:2, j:2 * ow:2] for i in (0, 1) for j in (0, 1)]
-        out = t[0] + t[1]
-        out += t[2] + t[3]
+        if ow == 1:
+            out = t[0] + 0.0
+            out += t[1]
+            out += t[2]
+            out += t[3]
+        else:
+            out = t[0] + t[1]
+            out += t[2] + t[3]
         out /= 4
         return out
     win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))

@@ -150,6 +150,8 @@ class TestBadInput:
         ["analyze", "--seed", "-1"],
         ["analyze", "--variant", "0"],
         ["analyze", "--variant", "-3"],
+        ["analyze", "--preset", "mobilenetv2", "--variant", "0"],
+        ["trace", "--preset", "mobilenetv2", "--variant", "2"],
         ["analyze", "--spec", "{missing}"],
         ["analyze", "--spec", "{not_json}"],
         ["analyze", "--spec", "{json_list}"],

@@ -78,17 +78,18 @@ def _depthwise_reference(x, w, stride, pad):
     return out
 
 
-def _depthwise_vjp_reference(x, w, g, stride):
-    """Per-tap NCHW (dx, dw) for pad (k-1)/2: the bitwise reference for the
-    VJP of ``Tape.depthwise_conv``."""
-    k = w.shape[1]
-    pad = (k - 1) // 2
+def _depthwise_vjp_reference(x, w, g, stride, pad=None):
+    """Per-tap NCHW (dx, dw), pad (k-1)/2 unless given: the bitwise
+    reference for the depthwise VJP of ``Tape.depthwise_conv`` and
+    ``Tape.conv2d``; w has shape (c, kh, kw)."""
+    kh, kw = w.shape[1], w.shape[2]
+    pad = (kh - 1) // 2 if pad is None else pad
     xp = ops._pad_nd(x, pad)
     oh, ow = g.shape[2], g.shape[3]
     dw = np.empty_like(w)
     dxp = np.zeros_like(xp)
-    for i in range(k):
-        for j in range(k):
+    for i in range(kh):
+        for j in range(kw):
             sl = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
             dw[:, i, j] = (g * sl).sum(axis=(0, 2, 3))
             dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
@@ -99,9 +100,9 @@ def _depthwise_vjp_reference(x, w, g, stride):
 
 class TestDepthwiseBitwise:
     """The flat (n == 1) and row (n > 1) depthwise layouts against the NCHW
-    reference: forward and dx byte for byte, dw by value (a tap that sees
-    only padding sums +-0 products in the reference and is exactly 0
-    here)."""
+    reference: forward and dx byte for byte, dw byte for byte on the live
+    taps and by value on all (a tap that sees only padding is skipped and
+    is exactly 0 here)."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.sampled_from([1, 3, 32]), c=st.integers(1, 4),
@@ -135,14 +136,18 @@ class TestDepthwiseBitwise:
         assert dx.shape == want_dx.shape
         assert dx.tobytes() == want_dx.tobytes()
         assert np.array_equal(dw, want_dw)
+        rows, cols = zip(*taps)
+        assert dw[:, rows, cols].tobytes() == want_dw[:, rows, cols].tobytes()
 
     # n = 3 takes the row layout, n = 1 the flat one
-    @pytest.mark.parametrize("kh,kw,stride,pad,n", [
+    GROUPED = pytest.mark.parametrize("kh,kw,stride,pad,n", [
         pytest.param(*geom, n, id="-".join(map(str, geom)) + suffix)
         for n, suffix in ((3, ""), (1, "-n1"))
         for geom in [(1, 3, 1, 0), (3, 1, 2, 1), (2, 2, 1, 1), (5, 3, 2, 3),
                      (3, 3, 3, 0)]
     ])
+
+    @GROUPED
     def test_grouped_conv_path_equals_reference(self, kh, kw, stride, pad, n):
         """conv2d with groups == channels reaches the same kernels, in both
         layouts, with any kernel shape and padding."""
@@ -152,6 +157,46 @@ class TestDepthwiseBitwise:
         got = ops.conv2d(Tensor(x), ConvKernel(w, groups=4), stride, pad)
         want = _depthwise_reference(x, w[:, 0], stride, pad)
         assert got.data.tobytes() == want.tobytes()
+
+    @GROUPED
+    def test_grouped_conv_vjp_equals_reference(self, kh, kw, stride, pad, n):
+        """The VJP of a (c, kh, kw) ``Tape.conv2d``: non-square and even
+        kernels, any padding, stride 3; dx and dw byte for byte."""
+        rng = np.random.default_rng(kh * 100 + kw * 10 + stride + pad + n)
+        x = rng.normal(size=(n, 4, 7, 6))
+        w = rng.normal(size=(4, kh, kw))
+        tape = Tape()
+        y = tape.conv2d(tape.leaf(x), tape.leaf(w), stride, pad)
+        g = rng.normal(size=y.shape)
+        dx, dw = y.vjp(g)
+        want_dx, want_dw = _depthwise_vjp_reference(x, w, g, stride, pad)
+        assert dx.tobytes() == want_dx.tobytes()
+        assert dw.tobytes() == want_dw.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(1, 3), n=st.integers(1, 33), c=st.integers(1, 5),
+       h=st.integers(1, 20), w=st.integers(1, 20),
+       zeros=st.sampled_from(["none", "some", "signed", "all negative"]),
+       seed=st.integers(0, 2 ** 16))
+@example(t=1, n=32, c=1, h=16, w=16, zeros="none", seed=0)     # one merged run
+@example(t=2, n=33, c=3, h=1, w=1, zeros="signed", seed=1)     # 1x1 maps
+@example(t=1, n=5, c=2, h=20, w=19, zeros="none", seed=2)      # uneven split
+@example(t=1, n=1, c=4, h=16, w=16, zeros="all negative", seed=3)
+def test_nchw_sums_equal_numpy_sum(t, n, c, h, w, zeros, seed):
+    """``ops._nchw_sums`` writes down numpy's ``sum(axis=(0, 2, 3))`` order;
+    this fails if a numpy upgrade changes that order."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(t, n, c, h, w)) * 10.0 ** rng.integers(-3, 4, (t, n, c, h, w))
+    if zeros == "some":
+        x[rng.random(x.shape) < 0.5] = 0.0
+    elif zeros == "signed":
+        x = np.where(rng.random(x.shape) < 0.5, -0.0, 0.0)
+    elif zeros == "all negative":
+        x = np.full(x.shape, -0.0)
+    want = np.stack([x[k].sum(axis=(0, 2, 3)) for k in range(t)])
+    got = ops._nchw_sums(np.ascontiguousarray(x.transpose(0, 2, 3, 4, 1)))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestPointwiseConv:
@@ -392,6 +437,28 @@ def test_avgpool_equals_window_mean(n, c, h, w, pool, seed):
     x = rng.normal(size=(n, c, h, w)) * 10.0 ** rng.integers(-3, 4, (n, c, h, w))
     want = _avgpool_reference(x, kernel, stride)
     assert ops.avgpool(Tensor(x), kernel, stride).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape,pool", [
+    ((1, 1600, 7, 7), (7, 7)), ((1, 1280, 10, 10), (10, 10)),
+    ((3, 1, 5, 5), (5, 5)), ((1, 1, 9, 9), (9, 9)), ((32, 300, 1, 1), (1, 1)),
+    ((2, 4, 2, 2), (2, 2)), ((4, 3, 16, 16), (16, 16)),
+    ((2, 3, 5, 3), (2, 2)), ((3, 2, 4, 2), (2, 2)),   # one output column
+])
+@pytest.mark.parametrize("zeros", ["none", "signed", "all negative"])
+def test_stated_pool_orders_equal_window_mean_with_signed_zeros(shape, pool, zeros):
+    """The global pool (``ops._nchw_sums``) and the one-column 2x2 pool
+    (taps in sequence from +0) give the window mean's bits, also where the
+    sum is a zero of either sign."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    if zeros == "signed":
+        x[rng.random(shape) < 0.5] *= -0.0
+        x[rng.random(shape) < 0.3] = 0.0
+    elif zeros == "all negative":
+        x = np.full(shape, -0.0)
+    want = _avgpool_reference(x, *pool)
+    assert ops.avgpool(Tensor(x), *pool).data.tobytes() == want.tobytes()
 
 
 class TestChannelOps:
