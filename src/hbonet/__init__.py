@@ -41,7 +41,6 @@ from .autodiff import Node, Tape, TapeConsumedError, backward, finite_diff_check
 from .blocks import (
     BlockConfig,
     BlockKind,
-    BlockParams,
     ConfigError,
     block_layer_table,
     harmonious_bottleneck_forward,

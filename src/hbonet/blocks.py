@@ -3,15 +3,15 @@ harmonious bottleneck (spatial contraction-expansion around a channel
 expansion-contraction body, with half the output channels copied from the
 input).
 
-Block structure is expressed once as a layer table; parameter construction
-and the forward wiring consume that table. The complexity ledger consumes the
-forward wiring itself, run on shapes by the network builder, and the test
-suite pins the forward against a straight-line composition of the primitive
-ops.
+Block structure is expressed once as a layer table, read once per block to
+make one :class:`LayerParams` per row, which carries the row; the forward
+wiring walks those layers. The complexity ledger consumes the forward wiring
+itself, run on shapes by the network builder, and the test suite pins the
+forward against a straight-line composition of the primitive ops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -27,12 +27,12 @@ __all__ = [
     "BlockConfig",
     "ConvLayerSpec",
     "LayerParams",
-    "BlockParams",
     "make_divisible",
     "block_layer_table",
     "init_block_params",
     "inverted_residual_forward",
     "harmonious_bottleneck_forward",
+    "block_forward_node",
     "hbo_forward_node",
     "inverted_residual_forward_node",
 ]
@@ -147,10 +147,12 @@ class ConvLayerSpec:
 
 @dataclass
 class LayerParams:
-    """One layer's learnable arrays, each in the shape of the tape leaf that
-    takes it: the weight as (c, k, k) depthwise, (o, c) pointwise and
-    (o, c, k, k) dense; the batch norm's gamma and beta; an optional bias."""
+    """One layer: its table row and its learnable arrays, each in the shape
+    of the tape leaf that takes it: the weight as (c, k, k) depthwise, (o, c)
+    pointwise and (o, c, k, k) dense; the batch norm's gamma and beta; an
+    optional bias."""
 
+    spec: ConvLayerSpec
     weight: np.ndarray
     bn: BatchNormParams | None
     bias: np.ndarray | None = None
@@ -164,16 +166,6 @@ class LayerParams:
             yield "beta", self.bn, "beta"
         if self.bias is not None:
             yield "bias", self, "bias"
-
-
-@dataclass
-class BlockParams:
-    """Learnable weights for one block, keyed by layer-table names."""
-
-    layers: dict[str, LayerParams] = field(default_factory=dict)
-
-    def __iter__(self) -> Iterator[tuple[str, LayerParams]]:
-        return iter(self.layers.items())
 
 
 def block_layer_table(cfg: BlockConfig) -> tuple[ConvLayerSpec, ...]:
@@ -236,24 +228,27 @@ def _init_layer(spec: ConvLayerSpec,
         w = w[:, 0]
     elif spec.kind == "pointwise":
         w = w[:, :, 0, 0]
-    return LayerParams(w, BatchNormParams.identity(spec.c_out) if spec.bn else None)
+    return LayerParams(spec, w,
+                       BatchNormParams.identity(spec.c_out) if spec.bn else None)
 
 
 def init_block_params(cfg: BlockConfig, rng: np.random.Generator | None = None,
-                      zero: bool = False) -> BlockParams:
-    """Kaiming-style init: conv weights ~ N(0, 2/fan_out), BN gamma 1 beta 0."""
+                      zero: bool = False) -> dict[str, LayerParams]:
+    """Kaiming-style init: conv weights ~ N(0, 2/fan_out), BN gamma 1 beta 0;
+    the layers keyed by table name, in table order."""
     if rng is None:
         rng = np.random.default_rng(0)
-    return BlockParams({spec.name: _init_layer(spec, None if zero else rng)
-                        for spec in block_layer_table(cfg)})
+    return {spec.name: _init_layer(spec, None if zero else rng)
+            for spec in block_layer_table(cfg)}
 
 
 # ---------------------------------------------------------------------------
 # forward wiring (single implementation via the tape)
 # ---------------------------------------------------------------------------
 
-def _apply_layer(tape: Tape, x: Node, spec: ConvLayerSpec, lp: LayerParams,
-                 training: bool, prefix: str = "") -> Node:
+def _apply_layer(tape: Tape, x: Node, lp: LayerParams, training: bool,
+                 prefix: str = "") -> Node:
+    spec = lp.spec
     base = f"{prefix}{spec.name}"
     w = tape.leaf(lp.weight, f"{base}.weight")
     if spec.kind == "depthwise":
@@ -278,18 +273,19 @@ def _apply_layer(tape: Tape, x: Node, spec: ConvLayerSpec, lp: LayerParams,
     return y
 
 
-def inverted_residual_forward_node(x: Node, cfg: BlockConfig, p: BlockParams,
-                                   tape: Tape, training: bool = False,
+def inverted_residual_forward_node(x: Node, cfg: BlockConfig,
+                                   p: dict[str, LayerParams], tape: Tape,
+                                   training: bool = False,
                                    prefix: str = "") -> Node:
     y = x
-    for spec in block_layer_table(cfg):     # expand_pw (if t != 1), body, reduce
-        y = _apply_layer(tape, y, spec, p.layers[spec.name], training, prefix)
+    for lp in p.values():       # expand_pw (if t != 1), body, reduce
+        y = _apply_layer(tape, y, lp, training, prefix)
     if cfg.use_residual:
         y = tape.eltadd(y, x)
     return y
 
 
-def hbo_forward_node(x: Node, cfg: BlockConfig, p: BlockParams,
+def hbo_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],
                      tape: Tape, training: bool = False,
                      prefix: str = "") -> Node:
     n, c, h, w = x.value.shape
@@ -298,10 +294,9 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: BlockParams,
         raise ConfigError(
             f"input {h}x{w} not divisible by 2^{k} contraction"
         )
-    table = {s.name: s for s in block_layer_table(cfg)}
 
     def layer(y, name):
-        return _apply_layer(tape, y, table[name], p.layers[name], training, prefix)
+        return _apply_layer(tape, y, p[f"{prefix}{name}"], training, prefix)
 
     y = body_in = layer(x, "contract_dw")
     for name in ("expand_pw", "body_dw", "reduce_pw"):
@@ -320,14 +315,24 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: BlockParams,
     return tape.concat_channels(y, short)
 
 
+def block_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],
+                       tape: Tape, training: bool = False,
+                       prefix: str = "") -> Node:
+    """Either kind's forward, chosen by ``cfg.kind``. ``p`` maps each layer's
+    base name, ``prefix`` plus its table name, to the layer."""
+    fn = (hbo_forward_node if cfg.kind is BlockKind.HARMONIOUS_BOTTLENECK
+          else inverted_residual_forward_node)
+    return fn(x, cfg, p, tape, training, prefix)
+
+
 def inverted_residual_forward(x: Tensor, cfg: BlockConfig,
-                              p: BlockParams) -> Tensor:
+                              p: dict[str, LayerParams]) -> Tensor:
     """Expand, depthwise-filter, linearly contract; skip when shape-preserving."""
     return eager(lambda tape, xn: inverted_residual_forward_node(xn, cfg, p, tape), x)
 
 
 def harmonious_bottleneck_forward(x: Tensor, cfg: BlockConfig,
-                                  p: BlockParams) -> Tensor:
+                                  p: dict[str, LayerParams]) -> Tensor:
     """Spatially contracted bottleneck body plus a copied shortcut half.
 
     Output is concat(main, shortcut): the first c_out/2 channels are

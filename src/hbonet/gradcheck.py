@@ -13,10 +13,9 @@ from .autodiff import Tape, backward, eager, finite_diff_check
 from .blocks import (
     BlockConfig,
     BlockKind,
-    BlockParams,
-    hbo_forward_node,
+    LayerParams,
+    block_forward_node,
     init_block_params,
-    inverted_residual_forward_node,
 )
 
 __all__ = ["CheckResult", "run_gradient_checks", "block_weight_checks"]
@@ -125,24 +124,23 @@ def block_weight_checks(cfg: BlockConfig, x: np.ndarray, step: float,
     relu6 kink and central differences straddle it.
     """
     p = init_block_params(cfg, rng)
-    for _, lp in p:
+    for lp in p.values():
         if lp.bn is not None:
             c = lp.bn.channels
             lp.bn.gamma = rng.normal(1.0, 0.1, size=c)
             lp.bn.beta = rng.normal(0.0, 0.2, size=c)
             lp.bn.running_mean = rng.normal(0.0, 0.1, size=c)
             lp.bn.running_var = rng.uniform(0.8, 1.2, size=c)
-    fwd = (hbo_forward_node if cfg.kind is BlockKind.HARMONIOUS_BOTTLENECK
-           else inverted_residual_forward_node)
 
-    def run_eager(px: BlockParams, arr: np.ndarray) -> np.ndarray:
-        return eager(lambda tape, xn: fwd(xn, cfg, px, tape), arr).data
+    def run_eager(px: dict[str, LayerParams], arr: np.ndarray) -> np.ndarray:
+        return eager(lambda tape, xn: block_forward_node(xn, cfg, px, tape),
+                     arr).data
 
     weights = rng.normal(size=run_eager(p, x).shape)
 
     tape = Tape()
     xn = tape.leaf(x, "input")
-    out = fwd(xn, cfg, p, tape, training=False)
+    out = block_forward_node(xn, cfg, p, tape, training=False)
     loss = tape.weighted_sum(out, weights)
     grads = {n.name: g for n, g in backward(tape, loss).items()}
 
@@ -151,7 +149,7 @@ def block_weight_checks(cfg: BlockConfig, x: np.ndarray, step: float,
                             x, step, analytic=grads["input"])
     results.append(CheckResult(f"{label}/input", err))
 
-    for lname, lp in p:
+    for lname, lp in p.items():
         for suffix, owner, attr in lp.slots():
             pname = f"{lname}.{suffix}"
             original = getattr(owner, attr).copy()

@@ -23,15 +23,13 @@ from .autodiff import Node, Shape, ShapeTape, Tape
 from .blocks import (
     BlockConfig,
     BlockKind,
-    BlockParams,
     ConfigError,
     ConvLayerSpec,
     LayerParams,
     _apply_layer,
     _init_layer,
+    block_forward_node,
     block_layer_table,
-    hbo_forward_node,
-    inverted_residual_forward_node,
     make_divisible,
 )
 from .tensor import DimensionError, Tensor
@@ -192,8 +190,9 @@ def mobilenetv2_spec(width: float = 1.0, resolution: int = 224,
 
 # Each unit's ``layers`` maps the base name of every layer it holds, which is
 # also the ledger row name of that layer's convolution, to the layer's
-# ``(ConvLayerSpec, LayerParams)``. The network's parameters are the layers'
-# arrays, named ``base.suffix`` after the tape leaves that take them.
+# ``LayerParams``, which carries its ``ConvLayerSpec``. The network's
+# parameters are the layers' arrays, named ``base.suffix`` after the tape
+# leaves that take them.
 
 class ConvUnit:
     """A standalone convolution (stem, projections, head)."""
@@ -202,11 +201,10 @@ class ConvUnit:
                  rng: np.random.Generator | None):
         self.name = name
         self.stage = stage
-        self.layers = {name: (spec, _init_layer(spec, rng))}
+        self.layers = {name: _init_layer(spec, rng)}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        spec, lp = self.layers[self.name]
-        return _apply_layer(tape, x, spec, lp, training)
+        return _apply_layer(tape, x, self.layers[self.name], training)
 
 
 class BlockUnit:
@@ -215,16 +213,12 @@ class BlockUnit:
         self.name = name
         self.stage = stage
         self.cfg = cfg
-        table = block_layer_table(cfg)
-        self.params = BlockParams({s.name: _init_layer(s, rng) for s in table})
-        self.layers = {f"{name}.{s.name}": (s, self.params.layers[s.name])
-                       for s in table}
+        self.layers = {f"{name}.{s.name}": _init_layer(s, rng)
+                       for s in block_layer_table(cfg)}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        fn = (hbo_forward_node if self.cfg.kind is BlockKind.HARMONIOUS_BOTTLENECK
-              else inverted_residual_forward_node)
-        return fn(x, self.cfg, self.params, tape, training,
-                  prefix=f"{self.name}.")
+        return block_forward_node(x, self.cfg, self.layers, tape, training,
+                                  prefix=f"{self.name}.")
 
 
 class PoolUnit:
@@ -255,13 +249,12 @@ class ClassifierUnit:
             # kaiming-style 2/fan_out blows up here (fan_out is only the
             # class count); a small normal keeps initial logits near zero
             weight = rng.normal(0.0, 0.01, size=(num_classes, c_in))
-        self.layers = {name: (spec, LayerParams(weight, None,
-                                                np.zeros(num_classes)))}
+        self.layers = {name: LayerParams(spec, weight, None,
+                                         np.zeros(num_classes))}
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        _, lp = self.layers[self.name]
-        y = tape.pointwise_conv(x, tape.leaf(lp.weight, f"{self.name}.weight"))
-        y = tape.flatten_spatial(y)
+        lp = self.layers[self.name]
+        y = tape.flatten_spatial(_apply_layer(tape, x, lp, training))
         return tape.add_bias(y, tape.leaf(lp.bias, f"{self.name}.bias"))
 
 
@@ -289,7 +282,7 @@ class Network:
     def _slots(self):
         """(parameter name, owner, attribute) of every learnable array."""
         for unit in self.units:
-            for base, (_, lp) in unit.layers.items():
+            for base, lp in unit.layers.items():
                 for suffix, owner, attr in lp.slots():
                     yield f"{base}.{suffix}", owner, attr
 
@@ -321,10 +314,10 @@ class Network:
 
     def conv_layers(self):
         """Every convolution with its input spatial dims at spec resolution."""
-        specs = {k: s for unit in self.units for k, (s, _) in unit.layers.items()}
+        layers = {k: lp for unit in self.units for k, lp in unit.layers.items()}
         for name, _, _, _, hw in self.rows:
-            if name in specs:
-                yield name, specs[name], hw
+            if name in layers:
+                yield name, layers[name].spec, hw
 
 
 def _cap_contraction(k: int, h: int, w: int) -> int:
@@ -415,11 +408,10 @@ def _stage_name(st: StageSpec, counts: dict[str, int]) -> str:
     base = {"conv3x3": "conv1", "conv1x1_linear": "proj", "conv1x1": "head",
             "avgpool": "pool", "classifier": "classifier",
             "hbo": "hbo", "inverted_residual": "invres"}[st.op]
-    if st.op in ("hbo", "inverted_residual"):
-        counts[base] = counts.get(base, 0) + 1
-        return f"{base}{counts[base]}"
     counts[base] = counts.get(base, 0) + 1
-    return base if counts[base] == 1 else f"{base}{counts[base]}"
+    if counts[base] == 1 and st.op not in ("hbo", "inverted_residual"):
+        return base
+    return f"{base}{counts[base]}"
 
 
 def build_hbonet(spec: NetworkSpec | None = None, **kwargs) -> Network:

@@ -444,13 +444,13 @@ def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
       pool) divides each image's per-channel sum from ``_nchw_sums`` by
       kernel**2.
     - A 2x2 stride-2 pool adds its four strided taps. With two or more
-      output columns the order is (x00 + x01) + (x10 + x11); with one it
-      is (((+0 + x00) + x01) + x10) + x11.
+      output columns the order is ((x00 + x01) + (x10 + x11)) + 0; with
+      one it is (((+0 + x00) + x01) + x10) + x11.
 
     Each is bit for bit numpy's mean over the window view, which picks its
-    sum's order from the view's shape, except that the two-column order
-    gives -0 where all four taps are -0 and the mean gives +0. Any other
-    geometry (a 2x2 window at stride 1, say, or a kernel of 1 or 3 that
+    sum's order from the view's shape; the trailing + 0 turns an all -0
+    window's sum into the mean's +0 and leaves every other sum exact. Any
+    other geometry (a 2x2 window at stride 1, say, or a kernel of 1 or 3 that
     leaves more than one output) still takes that mean; no network builds
     one.
     """
@@ -468,6 +468,7 @@ def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
         else:
             out = t[0] + t[1]
             out += t[2] + t[3]
+            out += 0.0
         out /= 4
         return out
     win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))

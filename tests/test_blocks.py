@@ -13,6 +13,7 @@ from hbonet.blocks import (
     BlockConfig,
     BlockKind,
     ConfigError,
+    block_forward_node,
     block_layer_table,
     harmonious_bottleneck_forward,
     hbo_forward_node,
@@ -115,8 +116,20 @@ class TestLayerTable:
         for spec in block_layer_table(cfg):
             leaf = {"depthwise": (spec.c_out, spec.kernel, spec.kernel),
                     "pointwise": (spec.c_out, spec.c_in)}[spec.kind]
-            assert p.layers[spec.name].weight.shape == leaf
-            assert (p.layers[spec.name].bn is not None) == spec.bn
+            assert p[spec.name].weight.shape == leaf
+            assert (p[spec.name].bn is not None) == spec.bn
+
+    @pytest.mark.parametrize("cfg", [
+        BlockConfig(6, 8, 2, 1, HBO),
+        BlockConfig(6, 8, 2, 2, HBO),
+        BlockConfig(6, 12, 2, 2, HBO, contraction_count=3),
+        BlockConfig(6, 6, 3, 1, INV),
+        BlockConfig(6, 10, 1, 2, INV),
+    ], ids=["hbo-s1", "hbo-s2", "hbo-s2-k3", "invres-s1", "invres-s2-t1"])
+    def test_each_layer_carries_its_table_row_in_order(self, cfg):
+        p = init_block_params(cfg, np.random.default_rng(0))
+        assert list(p) == [s.name for s in block_layer_table(cfg)]
+        assert tuple(lp.spec for lp in p.values()) == block_layer_table(cfg)
 
 
 class TestShapes:
@@ -192,7 +205,7 @@ def compose_hbo_from_primitives(x, cfg, p):
     """Straight-line re-wiring of the block from the public eager ops."""
     def conv_bn_act(t, name):
         spec = {s.name: s for s in block_layer_table(cfg)}[name]
-        lp = p.layers[name]
+        lp = p[name]
         if spec.kind == "depthwise":
             t = ops.depthwise_conv(t, _kernel(spec, lp), stride=spec.stride)
         else:
@@ -251,7 +264,7 @@ def compose_inverted_residual_from_primitives(x, cfg, p):
     """Straight-line inverted residual from the public eager ops."""
     y = x
     for spec in block_layer_table(cfg):
-        lp = p.layers[spec.name]
+        lp = p[spec.name]
         if spec.kind == "depthwise":
             y = ops.depthwise_conv(y, _kernel(spec, lp), stride=spec.stride)
         else:
@@ -269,7 +282,7 @@ class TestInPlaceEpilogue:
 
     @staticmethod
     def _random_statistics(p, rng):
-        for _, lp in p:
+        for lp in p.values():
             c = lp.bn.channels
             lp.bn.gamma[...] = rng.normal(1.0, 0.3, c)
             lp.bn.beta[...] = rng.normal(0.0, 1.0, c)
@@ -291,7 +304,7 @@ class TestInPlaceEpilogue:
         p = init_block_params(cfg, rng)
         self._random_statistics(p, rng)
         x = rng.normal(size=(n, cfg.c_in, 12, 12))
-        before = [x.tobytes()] + [a.tobytes() for _, lp in p
+        before = [x.tobytes()] + [a.tobytes() for lp in p.values()
                                   for a in (lp.weight, lp.bn.gamma,
                                             lp.bn.beta, lp.bn.running_mean,
                                             lp.bn.running_var)]
@@ -307,7 +320,10 @@ class TestInPlaceEpilogue:
         taped = node_fwd(tape.leaf(x, "x"), cfg, p, tape, training=False)
         want = compose(Tensor(x), cfg, p).data
         assert got.tobytes() == taped.value.tobytes() == want.tobytes()
-        after = [x.tobytes()] + [a.tobytes() for _, lp in p
+        tape = Tape(grad_enabled=False)
+        chosen = block_forward_node(tape.leaf(x, "x"), cfg, p, tape)
+        assert chosen.value.tobytes() == got.tobytes()
+        after = [x.tobytes()] + [a.tobytes() for lp in p.values()
                                  for a in (lp.weight, lp.bn.gamma,
                                            lp.bn.beta, lp.bn.running_mean,
                                            lp.bn.running_var)]
@@ -360,7 +376,7 @@ class TestRecordedInPlaceEpilogue:
             tape = tape_cls()
             x = rng.normal(size=(3, cfg.c_in, 8, 8))
             y = node_fwd(tape.leaf(x, "x"), cfg, p, tape, training=training)
-            stats = [a.tobytes() for _, lp in p
+            stats = [a.tobytes() for lp in p.values()
                      for a in (lp.bn.running_mean, lp.bn.running_var)]
             return tape, tape.weighted_sum(y, rng.normal(size=y.shape)), y, stats
 

@@ -444,12 +444,13 @@ def test_avgpool_equals_window_mean(n, c, h, w, pool, seed):
     ((3, 1, 5, 5), (5, 5)), ((1, 1, 9, 9), (9, 9)), ((32, 300, 1, 1), (1, 1)),
     ((2, 4, 2, 2), (2, 2)), ((4, 3, 16, 16), (16, 16)),
     ((2, 3, 5, 3), (2, 2)), ((3, 2, 4, 2), (2, 2)),   # one output column
+    ((2, 3, 4, 6), (2, 2)), ((1, 4, 9, 10), (2, 2)),  # two or more columns
 ])
 @pytest.mark.parametrize("zeros", ["none", "signed", "all negative"])
 def test_stated_pool_orders_equal_window_mean_with_signed_zeros(shape, pool, zeros):
-    """The global pool (``ops._nchw_sums``) and the one-column 2x2 pool
-    (taps in sequence from +0) give the window mean's bits, also where the
-    sum is a zero of either sign."""
+    """The global pool (``ops._nchw_sums``), the one-column 2x2 pool (taps
+    in sequence from +0) and the wider 2x2 pool (pairs, then + 0) give the
+    window mean's bits, also where the sum is a zero of either sign."""
     rng = np.random.default_rng(sum(shape))
     x = rng.normal(size=shape)
     if zeros == "signed":
