@@ -110,9 +110,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def newest_earlier(root: Path, out: Path) -> Path | None:
-    tracked = git(root, "ls-files", "--", "bench/BENCH_*.json").splitlines()
-    earlier = sorted(p for p in tracked if (root / p).resolve() != out.resolve())
-    return root / earlier[-1] if earlier else None
+    """The BENCH file, other than ``out``, that the newest commit added. File
+    names do not order them: files of one date sort by hash."""
+    added = git(root, "log", "--diff-filter=A", "--name-only", "--format=",
+                "--", "bench/BENCH_*.json").split()
+    earlier = [p for p in added
+               if (root / p).is_file() and (root / p).resolve() != out.resolve()]
+    return root / earlier[0] if earlier else None
 
 
 def print_difference(report: dict, earlier: Path | None) -> None:

@@ -177,7 +177,10 @@ class Tape:
         """With grad disabled ``_out`` may be any array the caller owns. On a
         recording tape it must be the value of the op's own interior input
         ``x``, and only where the op's VJP does not read ``x``: the caller
-        vouches that no other recorded op reads that array either."""
+        vouches that no other recorded op reads that array either. The block
+        forwards rely on this for the conv-BN-ReLU6 layers and for the
+        residual :meth:`eltadd`, which writes into its first operand, the
+        ``reduce_pw`` layer's output."""
         if out is None or not self.grad_enabled:
             return
         if vjp_reads_x:
@@ -246,8 +249,9 @@ class Tape:
             n, _, h, wd = xv.shape
             oh, ow = g.shape[2], g.shape[3]
             taps = _ops._depthwise_taps(kh, kw, stride, pad, h, wd, oh, ow)
+            win = _ops._depthwise_window(kh, kw, stride, pad, h, wd, oh, ow)
             gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
-            planes = _ops._phase_planes(xv, stride, pad)
+            planes = _ops._phase_planes(xv, stride, win)
             dw = np.zeros_like(wv)
             chunk = max(1, _DW_CHUNK // gt.size)
             prod = np.empty((min(chunk, max(1, len(taps))), *gt.shape))
@@ -256,7 +260,8 @@ class Tape:
                 part = taps[k:k + chunk]
                 with sweep:
                     for t, (i, j) in enumerate(part):
-                        np.multiply(gt, _ops._tap(planes, i, j, oh, ow), out=prod[t])
+                        np.multiply(gt, _ops._tap(planes, i - win.i0, j - win.j0,
+                                                  oh, ow), out=prod[t])
                 rows, cols = zip(*part)
                 dw[:, rows, cols] = _ops._nchw_sums(prod[:len(part)]).T
             planes[...] = 0.0   # now the dx planes
@@ -264,9 +269,9 @@ class Tape:
             with sweep:
                 for i, j in taps:
                     np.multiply(wv[:, i, j, None, None, None], gt, out=tmp)
-                    _ops._tap(planes, i, j, oh, ow)[...] += tmp
+                    _ops._tap(planes, i - win.i0, j - win.j0, oh, ow)[...] += tmp
             del gt, prod, tmp   # freed before the NCHW copy
-            return _ops._interleave_planes(planes, pad, h, wd), dw
+            return _ops._interleave_planes(planes, win, h, wd), dw
 
         return self._record(out, (x, w), vjp, name)
 
@@ -332,26 +337,29 @@ class Tape:
 
         def vjp(g):
             inv, xhat = norm if training else _bn_normalize(xv, *stats, p.eps)
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
             sweep = _ops._sweep(g.shape[2] * g.shape[3])
-            if training:
-                with sweep:
-                    gx = g * gv[None, :, None, None]
-                    gx_xhat = gx * xhat
-                mean_gx = gx.mean(axis=(0, 2, 3))
-                mean_gx_xhat = gx_xhat.mean(axis=(0, 2, 3))
-                del gx_xhat
-                with sweep:
-                    dx = inv[None, :, None, None] * (
-                        gx
-                        - mean_gx[None, :, None, None]
-                        - xhat * mean_gx_xhat[None, :, None, None]
-                    )
-            else:
+            with sweep:
+                t = g * xhat
+            dgamma = t.sum(axis=(0, 2, 3))
+            dbeta = g.sum(axis=(0, 2, 3))
+            if not training:
                 with sweep:
                     dx = g * (gv * inv)[None, :, None, None]
-            return dx, dgamma, dbeta
+                return dx, dgamma, dbeta
+            # inv * (gx - mean(gx) - xhat * mean(gx * xhat)), evaluated in
+            # that order with two full-size arrays: t holds each product in
+            # turn and dx is formed in gx
+            with sweep:
+                gx = g * gv[None, :, None, None]
+                np.multiply(gx, xhat, out=t)
+            mean_gx = gx.mean(axis=(0, 2, 3))
+            mean_gx_xhat = t.mean(axis=(0, 2, 3))
+            with sweep:
+                np.multiply(xhat, mean_gx_xhat[None, :, None, None], out=t)
+                gx -= mean_gx[None, :, None, None]
+                gx -= t
+                gx *= inv[None, :, None, None]
+            return gx, dgamma, dbeta
 
         return self._record(out, (x, gamma, beta), vjp, "batchnorm")
 
@@ -375,11 +383,11 @@ class Tape:
     def avgpool(self, x: Node, kernel: int, stride: int) -> Node:
         """Average pooling without padding."""
         _avgpool_shape(x.shape, kernel, stride)
-        xv = x.value
-        out = _ops._avgpool_nd(xv, kernel, stride)
+        shape = x.shape
+        out = _ops._avgpool_nd(x.value, kernel, stride)
 
         def vjp(g):
-            dx = np.zeros_like(xv)
+            dx = np.zeros(shape)
             gk = g / (kernel * kernel)
             oh, ow = g.shape[2], g.shape[3]
             for i in range(kernel):
@@ -400,20 +408,28 @@ class Tape:
         return self._record(out, (a, b), vjp, "concat_channels")
 
     def take_first_channels(self, x: Node, m: int) -> Node:
-        _take_first_shape(x.shape, m)
-        xv = x.value
-        out = xv[:, :m].copy()
+        """The first ``m`` channels of ``x``, as the view ``x.value[:, :m]``
+        rather than a copy: ``_out`` never targets an array that another op
+        reads (see :meth:`_check_out`), so the view keeps its values. The
+        VJP keeps only the input's shape."""
+        shape = x.shape
+        _take_first_shape(shape, m)
+        out = x.value[:, :m]
 
         def vjp(g):
-            dx = np.zeros_like(xv)
+            dx = np.zeros(shape)
             dx[:, :m] = g
             return (dx,)
 
         return self._record(out, (x,), vjp, "take_first_channels")
 
-    def eltadd(self, a: Node, b: Node) -> Node:
+    def eltadd(self, a: Node, b: Node, *, _out: np.ndarray | None = None) -> Node:
+        """a + b. ``_out`` receives the sum as in :meth:`relu6`; on a
+        recording tape it must be ``a.value`` of an interior ``a`` (see
+        :meth:`_check_out`), since the VJP reads neither operand."""
+        self._check_out(a, _out)
         _eltadd_shape(a.shape, b.shape)
-        out = a.value + b.value
+        out = np.add(a.value, b.value, out=_out)
 
         def vjp(g):
             return g, g
@@ -632,10 +648,13 @@ def finite_diff_check(
     ``f`` maps an ndarray to a scalar. If ``analytic`` is not given it is
     obtained by running ``f`` over a tape (``f`` must then accept a Node).
     On tensors larger than ``max_coords`` a seeded sample of coordinates is
-    checked. Relative error is |a - n| / max(1, |a|, |n|).
+    checked. Relative error is |a - n| / max(1, |a|, |n|); a coordinate
+    whose error is NaN makes the result NaN, which fails every threshold.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if max_coords < 1:
+        raise ValueError(f"max_coords must be >= 1, got {max_coords}")
     x = np.asarray(x, dtype=np.float64)
     if analytic is None:
         tape = Tape()
@@ -654,7 +673,7 @@ def finite_diff_check(
         coords = np.random.default_rng(seed).choice(total, size=max_coords,
                                                     replace=False)
     aflat = np.asarray(analytic).ravel()
-    worst = 0.0
+    errors = []
     for idx in coords:
         orig = flat[idx]
         pert = x.copy().ravel()
@@ -664,5 +683,6 @@ def finite_diff_check(
         fm = func(pert.reshape(x.shape))
         numeric = (fp - fm) / (2.0 * step)
         denom = max(1.0, abs(numeric), abs(aflat[idx]))
-        worst = max(worst, abs(aflat[idx] - numeric) / denom)
-    return worst
+        errors.append(abs(aflat[idx] - numeric) / denom)
+    # np.max, unlike max(), carries a NaN through
+    return float(np.max(errors, initial=0.0))

@@ -281,7 +281,7 @@ def inverted_residual_forward_node(x: Node, cfg: BlockConfig,
     for lp in p.values():       # expand_pw (if t != 1), body, reduce
         y = _apply_layer(tape, y, lp, training, prefix)
     if cfg.use_residual:
-        y = tape.eltadd(y, x)
+        y = tape.eltadd(y, x, _out=y.value)
     return y
 
 
@@ -302,7 +302,9 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],
     for name in ("expand_pw", "body_dw", "reduce_pw"):
         y = layer(y, name)
     if cfg.use_residual:
-        y = tape.eltadd(y, tape.take_first_channels(body_in, cfg.main_width))
+        # the residual add writes into the reduce_pw output, which no VJP reads
+        y = tape.eltadd(y, tape.take_first_channels(body_in, cfg.main_width),
+                        _out=y.value)
     for u in range(2, k + 1):
         y = layer(layer(y, f"casc{u}_dw"), f"casc{u}_pw")
     factor = 2 ** k if cfg.stride == 1 else 2 ** (k - 1)
@@ -310,8 +312,11 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],
         y = tape.bilinear_upsample(y, factor)
     y = layer(y, "smooth_dw")
 
-    short = x if cfg.stride == 1 else tape.avgpool(x, 2, 2)
-    short = tape.take_first_channels(short, cfg.shortcut_width)
+    # the pool works per channel, so pooling only the kept channels gives
+    # the same values
+    short = tape.take_first_channels(x, cfg.shortcut_width)
+    if cfg.stride == 2:
+        short = tape.avgpool(short, 2, 2)
     return tape.concat_channels(y, short)
 
 

@@ -13,7 +13,10 @@ Tensors are NCHW at every interface. Inside, depthwise convolution and
 its VJP turn each kernel tap into long numpy sweeps over one layout: the
 zero-padded input split into stride x stride phase planes
 (``_phase_planes``), shape (s, s, c, hq, wq, n) with the batch innermost,
-where a tap at any stride reads one (c, oh, ow, n) window. A single image
+where a tap at any stride reads one (c, oh, ow, n) window. The planes hold
+only the rows and columns that the live taps read (``_depthwise_window``):
+on the 1x1 and 2x2 maps of a small network most of the padded input is
+padding that no tap reads. A single image
 (n == 1) is swept as one contiguous slice per channel over a full-width
 output grid; a batch as one run of ow*n elements per output row. The VJP
 holds g as (c, oh, ow, n) and scatters dx into phase planes that are
@@ -40,19 +43,23 @@ of copying both operands through the buffer; the caller's buffer size is
 restored afterwards. The buffer decides only how a loop is driven, never
 an elementwise value, and reductions stay outside the scope.
 
-The batch-norm and ReLU6 kernels take an ``out`` array.
-``blocks._apply_layer`` passes the conv output as ``out``, since only the
-batch norm reads it and no VJP reads it, so a conv-BN-ReLU6 layer keeps one
-array instead of three, in inference and in training alike; the values are
-the same bits. On a recording tape ``Tape._check_out`` allows this only
-where the output is the value of the op's own interior input and the op's
-VJP does not read it, so the inference batch norm, whose VJP normalizes
-its input again, allocates there.
+The batch-norm and ReLU6 kernels take an ``out`` array, and the tape's
+batch norm, ReLU6 and residual add an ``_out``. ``blocks._apply_layer``
+passes the conv output as ``out``, since only the batch norm reads it and
+no VJP reads it, so a conv-BN-ReLU6 layer keeps one array instead of three,
+in inference and in training alike; the values are the same bits. The
+block forwards pass the ``reduce_pw`` layer's output as the residual add's
+``_out`` for the same reason. On a recording tape ``Tape._check_out``
+allows this only where the output is the value of the op's own interior
+input and the op's VJP does not read it, so the inference batch norm,
+whose VJP normalizes its input again, allocates there. A channel slice on
+the tape is a view of its input, which no later ``_out`` targets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -198,6 +205,40 @@ def _depthwise_taps(kh: int, kw: int, stride: int, pad: int,
                  for j in _live_offsets(kw, stride, pad, w, ow))
 
 
+class _Window(NamedTuple):
+    """The part of a zero-padded depthwise input that the live taps read:
+    rows from the first live row offset ``i0`` on, columns from the first
+    live column offset ``j0`` on, so tap (i, j) reads the window as tap
+    (i - i0, j - j0). ``top`` and ``left`` are the padding left above and
+    before the first real pixel; each phase plane of the window is ``hq``
+    x ``wq``."""
+
+    i0: int
+    j0: int
+    top: int
+    left: int
+    hq: int
+    wq: int
+
+
+@lru_cache(maxsize=None)
+def _depthwise_window(kh: int, kw: int, stride: int, pad: int,
+                      h: int, w: int, oh: int, ow: int) -> _Window:
+    """The window of one depthwise geometry (see ``_Window``); cached like
+    ``_depthwise_taps``.
+
+    On small maps most of the padded input is padding no live tap reads: a
+    1x1 map under a 3x3 kernel pads to 3x3. The window drops it, and the
+    real pixels past the last row or column a live tap reads. Without a
+    live tap the window starts at the first real pixel and no tap reads it.
+    """
+    rows = _live_offsets(kh, stride, pad, h, oh) or [pad]
+    cols = _live_offsets(kw, stride, pad, w, ow) or [pad]
+    return _Window(rows[0], cols[0], pad - rows[0], pad - cols[0],
+                   oh + (rows[-1] - rows[0]) // stride,
+                   ow + (cols[-1] - cols[0]) // stride)
+
+
 # Elements per channel block of the flat depthwise accumulator (256 KB), so
 # the accumulator and its multiply scratch stay in a typical L2 cache. With
 # the sweeps unbuffered, blocks of 16k-64k elements time within 2% of each
@@ -234,39 +275,51 @@ def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.nda
     return kernel(x, w, stride, pad, oh, ow, taps)
 
 
-def _phases(s: int, pad: int, h: int, w: int):
-    """For each phase (a, b) of stride ``s``: the first input row y0 and
-    column x0 that land in it, and where they land in the plane, (m0, q0)."""
+def _phases(s: int, top: int, left: int):
+    """For each phase (a, b) of stride ``s``, over a window that starts
+    ``top`` rows above and ``left`` columns before the first real pixel:
+    the first input row y0 and column x0 that land in it, and where they
+    land in the plane, (m0, q0)."""
     for a in range(s):
-        y0 = (a - pad) % s
+        y0 = (a - top) % s
         for b in range(s):
-            x0 = (b - pad) % s
-            yield a, b, y0, x0, (y0 + pad) // s, (x0 + pad) // s
+            x0 = (b - left) % s
+            yield a, b, y0, x0, (y0 + top) // s, (x0 + left) // s
 
 
-def _phase_planes(x: np.ndarray, s: int, pad: int, spare_rows: int = 0) -> np.ndarray:
-    """The zero-padded NCHW ``x`` as stride x stride phase planes of shape
-    (s, s, c, hq, wq, n), batch innermost: padded pixel (r, q) sits in plane
-    (r % s, q % s) at (r // s, q // s). hq and wq are the padded size over
-    s, rounded up, plus ``spare_rows`` zero rows. At s == 1 this is the
-    padded (c, h, w, n) array."""
+def _window_extent(win: _Window, s: int, h: int, w: int) -> tuple[int, int]:
+    """The rows and columns of an h x w input that the window holds."""
+    return min(h, win.hq * s - win.top), min(w, win.wq * s - win.left)
+
+
+def _phase_planes(x: np.ndarray, s: int, win: _Window,
+                  spare_rows: int = 0) -> np.ndarray:
+    """The window ``win`` of the zero-padded NCHW ``x`` as stride x stride
+    phase planes of shape (s, s, c, hq, wq, n), batch innermost: window
+    pixel (r, q), counted from the window's corner, sits in plane
+    (r % s, q % s) at (r // s, q // s). hq and wq are the window's, plus
+    ``spare_rows`` zero rows. Only padding and pixels that no live tap
+    reads are left out, so every tap reads the values it would read from
+    the whole padded input. At s == 1 this is the padded (c, h, w, n)
+    array cut to the window."""
     n, c, h, wd = x.shape
-    hq = -(-(h + 2 * pad) // s) + spare_rows
-    wq = -(-(wd + 2 * pad) // s)
-    planes = np.zeros((s, s, c, hq, wq, n))
-    for a, b, y0, x0, m0, q0 in _phases(s, pad, h, wd):
-        src = x[:, :, y0::s, x0::s].transpose(1, 2, 3, 0)
+    hc, wc = _window_extent(win, s, h, wd)
+    planes = np.zeros((s, s, c, win.hq + spare_rows, win.wq, n))
+    for a, b, y0, x0, m0, q0 in _phases(s, win.top, win.left):
+        src = x[:, :, y0:hc:s, x0:wc:s].transpose(1, 2, 3, 0)
         planes[a, b, :, m0:m0 + src.shape[1], q0:q0 + src.shape[2]] = src
     return planes
 
 
-def _interleave_planes(planes: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
+def _interleave_planes(planes: np.ndarray, win: _Window, h: int, w: int) -> np.ndarray:
     """The inverse of ``_phase_planes``: the C-contiguous (n, c, h, w) array
-    of the unpadded pixels that ``planes`` holds."""
+    of the real pixels that ``planes`` holds, +0 where the window holds
+    none."""
     s, c, n = planes.shape[0], planes.shape[2], planes.shape[5]
-    out = np.empty((n, c, h, w))
-    for a, b, y0, x0, m0, q0 in _phases(s, pad, h, w):
-        dst = out[:, :, y0::s, x0::s]
+    hc, wc = _window_extent(win, s, h, w)
+    out = np.empty((n, c, h, w)) if (hc, wc) == (h, w) else np.zeros((n, c, h, w))
+    for a, b, y0, x0, m0, q0 in _phases(s, win.top, win.left):
+        dst = out[:, :, y0:hc:s, x0:wc:s]
         dst[...] = planes[a, b, :, m0:m0 + dst.shape[2],
                           q0:q0 + dst.shape[3]].transpose(3, 0, 1, 2)
     return out
@@ -283,14 +336,15 @@ def _depthwise_rows(x, w, stride, pad, oh, ow, taps):
     """Row layout: each tap is one sweep over the (c, oh, ow, n) view of the
     phase planes that it reads (``_tap``), into a (c, oh, ow, n)
     accumulator; rows are ow*n elements at every stride."""
-    n = x.shape[0]
-    planes = _phase_planes(x, stride, pad)
+    n, _, h, wd = x.shape
+    win = _depthwise_window(w.shape[1], w.shape[2], stride, pad, h, wd, oh, ow)
+    planes = _phase_planes(x, stride, win)
     out = np.zeros((w.shape[0], oh, ow, n))
     tmp = np.empty_like(out)
     with _sweep(ow * n):
         for i, j in taps:
-            np.multiply(w[:, i, j, None, None, None], _tap(planes, i, j, oh, ow),
-                        out=tmp)
+            np.multiply(w[:, i, j, None, None, None],
+                        _tap(planes, i - win.i0, j - win.j0, oh, ow), out=tmp)
             out += tmp
     del planes, tmp  # freed before the NCHW copy to keep peak memory down
     return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
@@ -298,16 +352,18 @@ def _depthwise_rows(x, w, stride, pad, oh, ow, taps):
 
 def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
     """Flat layout: the phase planes (``_phase_planes``, one spare row)
-    flattened per channel, so the window tap (i, j) reads (``_tap``) is one
-    contiguous slice at flat offset (i//s * wq + j//s) * n, oh*wq*n long,
+    flattened per channel, so the window that tap (i, j), read as (u, v) in
+    the depthwise window, reads (``_tap``) is one contiguous slice at flat
+    offset (u//s * wq + v//s) * n, oh*wq*n long,
     over a full-width (oh, wq) grid. The wq - ow columns past ow wrap into
     the next row and are dropped by the final NCHW copy; the spare row
     absorbs the last tap's overrun. Channels are swept in blocks of about
     ``_DW_BLOCK`` accumulator elements."""
-    n, c = x.shape[0], x.shape[1]
+    n, c, h, wd = x.shape
     s = stride
-    planes = _phase_planes(x, s, pad, spare_rows=1)
-    wq = planes.shape[4]
+    win = _depthwise_window(w.shape[1], w.shape[2], s, pad, h, wd, oh, ow)
+    planes = _phase_planes(x, s, win, spare_rows=1)
+    wq = win.wq
     flat = planes.reshape(s, s, c, -1)
     span = oh * wq * n
     block = max(1, _DW_BLOCK // span)
@@ -320,9 +376,10 @@ def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
             acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
             acc_b.fill(0.0)
             for i, j in taps:
-                off = ((i // s) * wq + j // s) * n
+                u, v = i - win.i0, j - win.j0
+                off = ((u // s) * wq + v // s) * n
                 np.multiply(w[c0:c1, i, j, None],
-                            flat[i % s, j % s, c0:c1, off:off + span], out=tmp_b)
+                            flat[u % s, v % s, c0:c1, off:off + span], out=tmp_b)
                 acc_b += tmp_b
             out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
                 .transpose(3, 0, 1, 2)

@@ -62,7 +62,8 @@ def cosine_lr(epoch: int, total: int, base: float) -> float:
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              state: OptimizerState, lr: float) -> dict[str, np.ndarray]:
-    """v <- momentum*v + g + wd*p; p <- p - lr*v. Returns the new params."""
+    """v <- momentum*v + g + wd*p; p <- p - lr*v. Returns the new params;
+    the velocities in ``state`` are updated in place."""
     new_params: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
@@ -72,9 +73,10 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             )
         v = state.velocities.get(name)
         if v is None:
-            v = np.zeros_like(p)
-        v = state.momentum * v + g + state.weight_decay * p
-        state.velocities[name] = v
+            v = state.velocities[name] = np.zeros_like(p)
+        v *= state.momentum
+        v += g
+        v += state.weight_decay * p
         new_params[name] = p - lr * v
     return new_params
 

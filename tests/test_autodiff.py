@@ -243,6 +243,45 @@ class TestFusedBatchNormBitwise:
         assert p.running_var.tobytes() == want_rv.tobytes()
 
 
+def _bn_train_vjp_reference(g, xhat, inv, gamma):
+    """The training batch-norm VJP written term by term, with its seven
+    full-size temporaries: the bitwise reference for ``Tape.batchnorm``."""
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    dbeta = g.sum(axis=(0, 2, 3))
+    gx = g * gamma[None, :, None, None]
+    gx_xhat = gx * xhat
+    mean_gx = gx.mean(axis=(0, 2, 3))
+    mean_gx_xhat = gx_xhat.mean(axis=(0, 2, 3))
+    dx = inv[None, :, None, None] * (gx - mean_gx[None, :, None, None]
+                                     - xhat * mean_gx_xhat[None, :, None, None])
+    return dx, dgamma, dbeta
+
+
+class TestBatchNormVjpBitwise:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 32]), c=st.integers(1, 4),
+           hw=st.one_of(st.just((1, 1)),
+                        st.tuples(st.integers(1, 16), st.integers(1, 16))),
+           seed=st.integers(0, 2**16))
+    # toy network shapes: long rows (16x16) and 1x1 maps
+    @example(n=32, c=8, hw=(16, 16), seed=0)
+    @example(n=32, c=216, hw=(1, 1), seed=1)
+    @example(n=32, c=24, hw=(2, 2), seed=2)
+    def test_training_vjp_equals_reference(self, n, c, hw, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, *hw)) * rng.uniform(0.01, 10, (1, c, 1, 1))
+        p = _random_bn(rng, c)
+        _, _, inv, xhat = _bn_batch_normalize(x.copy(), p.eps, np.empty_like(x))
+        tape = Tape()
+        xi = tape.eltadd(tape.leaf(x), tape.leaf(np.zeros_like(x)))   # bytes of x
+        y = _batchnorm(tape, xi, p, True)
+        g = rng.normal(size=x.shape)
+        got = y.vjp(g)
+        want = _bn_train_vjp_reference(g, xhat, inv, p.gamma)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestClosedFormGradients:
     def test_eltadd_distributes(self):
         rng = np.random.default_rng(1)
@@ -518,6 +557,25 @@ class TestFiniteDiffCheck:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             finite_diff_check(lambda a: 0.0, np.zeros(3), step=0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"step": np.nan}, {"step": np.inf},
+                                        {"max_coords": 0}],
+                             ids=["nan-step", "inf-step", "no-coords"])
+    def test_vacuous_arguments_rejected(self, kwargs):
+        """Each of these checked nothing and passed with 0.0."""
+        with pytest.raises(ValueError):
+            finite_diff_check(lambda a: 0.0, np.zeros(3), **kwargs)
+
+    @pytest.mark.parametrize("analytic", [[np.nan] * 3, [0.0, np.nan, 2.0],
+                                          [0.0, 1.0, np.nan]],
+                             ids=["all", "middle", "last"])
+    def test_nan_analytic_coordinate_fails(self, analytic):
+        """The gradient of 0.5*||x||^2 is x; a NaN in place of any of its
+        coordinates makes the result NaN, which no threshold passes."""
+        x = np.array([0.0, 1.0, 2.0])
+        err = finite_diff_check(lambda a: 0.5 * float((a * a).sum()), x,
+                                step=1e-4, analytic=np.array(analytic))
+        assert np.isnan(err) and not err < 1e-5
 
 
 class TestDeterminism:

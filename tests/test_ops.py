@@ -174,6 +174,77 @@ class TestDepthwiseBitwise:
         assert dw.tobytes() == want_dw.tobytes()
 
 
+class TestDepthwiseWindow:
+    """The phase planes hold only the window that the live taps read. On the
+    toy network's 1x1 and 2x2 maps most of the padded input is padding."""
+
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("hw", [1, 2])
+    def test_trimmed_planes_equal_full_pad_reference(self, hw, k, stride, n):
+        """Each live tap reads from the trimmed planes the bytes it reads
+        from the whole padded input; forward, dx and dw equal the NCHW
+        references byte for byte."""
+        rng = np.random.default_rng(hw * 1000 + k * 100 + stride * 10 + n)
+        c, pad = 3, (k - 1) // 2
+        x = rng.normal(size=(n, c, hw, hw))
+        wt = rng.normal(size=(c, k, k))
+        want = _depthwise_reference(x, wt, stride, pad)
+        oh, ow = want.shape[2], want.shape[3]
+        taps = ops._depthwise_taps(k, k, stride, pad, hw, hw, oh, ow)
+        win = ops._depthwise_window(k, k, stride, pad, hw, hw, oh, ow)
+        planes = ops._phase_planes(x, stride, win)
+        xp = ops._pad_nd(x, pad)
+        for i, j in taps:
+            full = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            got = ops._tap(planes, i - win.i0, j - win.j0, oh, ow)
+            assert got.tobytes() == np.ascontiguousarray(
+                full.transpose(1, 2, 3, 0)).tobytes()
+        assert ops._depthwise_nd(x, wt, stride, pad).tobytes() == want.tobytes()
+        tape = Tape()
+        y = tape.depthwise_conv(tape.leaf(x), tape.leaf(wt), stride=stride)
+        g = rng.normal(size=want.shape)
+        dx, dw = y.vjp(g)
+        want_dx, want_dw = _depthwise_vjp_reference(x, wt, g, stride)
+        assert dx.tobytes() == want_dx.tobytes()
+        assert dw.tobytes() == want_dw.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_live_tap_gives_zeros(self, n):
+        """A 1x1 kernel at stride 3 and pad 2 over a 1x1 map reads only
+        padding: output, dx and dw are +0, as the reference gives."""
+        rng = np.random.default_rng(n)
+        x, w = rng.normal(size=(n, 2, 1, 1)), rng.normal(size=(2, 1, 1, 1))
+        got = ops.conv2d(Tensor(x), ConvKernel(w, groups=2), 3, 2)
+        want = _depthwise_reference(x, w[:, 0], 3, 2)
+        assert got.shape == (n, 2, 2, 2)
+        assert got.data.tobytes() == want.tobytes() == np.zeros(want.shape).tobytes()
+        tape = Tape()
+        y = tape.conv2d(tape.leaf(x), tape.leaf(w[:, 0]), 3, 2)
+        g = rng.normal(size=y.shape)
+        dx, dw = y.vjp(g)
+        want_dx, want_dw = _depthwise_vjp_reference(x, w[:, 0], g, 3, 2)
+        assert dx.tobytes() == want_dx.tobytes() == np.zeros(x.shape).tobytes()
+        assert dw.tobytes() == want_dw.tobytes()
+
+    @pytest.mark.parametrize("k,stride,pad,hw", [
+        (3, 1, 1, 1), (3, 2, 1, 2), (5, 1, 2, 1), (5, 2, 2, 2), (5, 1, 2, 2)])
+    def test_planes_hold_only_the_live_window(self, k, stride, pad, hw):
+        """Each plane has as many rows (and columns) as the padded rows from
+        the first live tap's first read to the last one's last, over the
+        stride: fewer than the whole padded input needs."""
+        x = np.ones((2, 3, hw, hw))
+        oh = (hw + 2 * pad - k) // stride + 1
+        taps = ops._depthwise_taps(k, k, stride, pad, hw, hw, oh, oh)
+        rows = [i for i, _ in taps]
+        win = ops._depthwise_window(k, k, stride, pad, hw, hw, oh, oh)
+        planes = ops._phase_planes(x, stride, win)
+        read = (oh - 1) * stride + max(rows) - min(rows) + 1
+        assert planes.shape[3:5] == (-(-read // stride),) * 2
+        assert planes.shape[3] < -(-(hw + 2 * pad) // stride)
+
+
 @settings(max_examples=150, deadline=None)
 @given(t=st.integers(1, 3), n=st.integers(1, 33), c=st.integers(1, 5),
        h=st.integers(1, 20), w=st.integers(1, 20),
@@ -472,6 +543,18 @@ class TestChannelOps:
         x = Tensor(rng.normal(size=(2, 3, 4, 4)))
         out = ops.eltadd(x, Tensor.zeros(2, 3, 4, 4))
         assert tensor_equal_within(out, x, 0.0)
+
+    def test_take_first_is_a_view_on_a_tape_and_frozen_in_public(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 5, 3, 3))
+        tape = Tape()
+        xn = tape.leaf(x)
+        y = tape.take_first_channels(xn, 3)
+        assert np.shares_memory(y.value, xn.value)
+        assert y.value.tobytes() == x[:, :3].tobytes()
+        t = ops.take_first_channels(Tensor(x), 3)
+        assert not t.data.flags.writeable
+        assert t.data.tobytes() == x[:, :3].tobytes()
 
     def test_take_first_inverts_concat(self):
         rng = np.random.default_rng(10)

@@ -1,6 +1,7 @@
 """The pairs recorder's summary: medians, parent IQR, wins and the forward
 ratio, on synthetic runs."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,25 @@ def test_summary_counts_wins_by_direction(pairs):
     assert (passed["wins"], passed["losses"]) == (1, 0)
     assert s["forward_ratio"] == {"parent": 2.0, "tree": 2.0}
     assert s["passed_all"] is False
+
+
+def test_newest_earlier_follows_commit_order_not_names(pairs, tmp_path, monkeypatch):
+    """Two BENCH files of one date: the one committed later is newer, though
+    its hash sorts first; ``out`` itself is skipped."""
+    for var, value in (("GIT_AUTHOR_NAME", "t"), ("GIT_AUTHOR_EMAIL", "t@t"),
+                       ("GIT_COMMITTER_NAME", "t"), ("GIT_COMMITTER_EMAIL", "t@t")):
+        monkeypatch.setenv(var, value)
+    (tmp_path / "bench").mkdir()
+
+    def commit(name):
+        (tmp_path / "bench" / name).write_text("{}")
+        for cmd in (["add", "--", f"bench/{name}"], ["commit", "-q", "-m", name]):
+            subprocess.run(["git", *cmd], cwd=tmp_path, check=True)
+
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    commit("BENCH_2026-10-18_a5d1035.json")
+    commit("BENCH_2026-10-18_a2eb09b.json")
+    out = tmp_path / "bench" / "BENCH_2026-10-19_0000000.json"
+    assert pairs.newest_earlier(tmp_path, out).name == "BENCH_2026-10-18_a2eb09b.json"
+    commit(out.name)
+    assert pairs.newest_earlier(tmp_path, out).name == "BENCH_2026-10-18_a2eb09b.json"

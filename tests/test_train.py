@@ -101,6 +101,30 @@ class TestSgdStep:
             sgd_step({"w": np.zeros(3)}, {"w": np.zeros(4)},
                      OptimizerState(), 0.1)
 
+    def test_bytes_equal_formula_velocities_in_place_inputs_unchanged(self):
+        """Each step's velocity is m*v + g + wd*p and its parameter p - lr*v,
+        byte for byte, -0 gradients included; the velocity arrays are updated
+        in place and the caller's parameter arrays are left alone."""
+        m, wd, lr = 0.9, 4e-5, 0.05
+        rng = np.random.default_rng(12)
+        p = {"a": rng.normal(size=(3, 4)), "b": np.array([-0.0, 0.0, 1.5])}
+        state = OptimizerState(momentum=m, weight_decay=wd)
+        v = {k: np.zeros_like(a) for k, a in p.items()}
+        for step in range(4):
+            g = {k: rng.normal(size=a.shape) for k, a in p.items()}
+            g["b"][:2] = -0.0
+            before = {k: a.tobytes() for k, a in p.items()}
+            new = sgd_step(p, g, state, lr)
+            if step == 0:
+                buffers = dict(state.velocities)
+            for k in p:
+                v[k] = m * v[k] + g[k] + wd * p[k]
+                assert state.velocities[k] is buffers[k]
+                assert state.velocities[k].tobytes() == v[k].tobytes()
+                assert new[k].tobytes() == (p[k] - lr * v[k]).tobytes()
+                assert p[k].tobytes() == before[k] and new[k] is not p[k]
+            p = new
+
 
 class TestLabelSmoothCe:
     def test_eps_zero_is_plain_cross_entropy(self):
@@ -264,6 +288,23 @@ class TestToyStepBackward:
         finally:
             tracemalloc.stop()
         assert peak_mb < 30
+
+    def test_step_peak_memory_without_dead_copies(self, batch):
+        """The same step once the tape keeps no channel-slice copies, the
+        residual add writes into the reduce_pw output, the shortcut pools
+        only its kept channels, the depthwise planes hold only the window
+        the live taps read, the batch-norm VJP uses two full-size arrays and
+        the velocities are updated in place: 20.8 MB (23.3 MB before)."""
+        params = batch[0].parameters()
+        tracemalloc.start()
+        try:
+            grads = {n.name: g for n, g in backward(*self._step_tape(*batch)).items()}
+            sgd_step(params, {k: grads[k].reshape(params[k].shape) for k in params},
+                     OptimizerState(), ToyConfig().base_lr)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 22
 
 
 class TestTruncatedSchedule:
