@@ -173,19 +173,16 @@ class Tape:
             self.nodes.append(node)
         return node
 
-    def _check_out(self, x: Node, out, vjp_reads_x: bool = False) -> None:
+    def _check_out(self, x: Node, out) -> None:
         """With grad disabled ``_out`` may be any array the caller owns. On a
         recording tape it must be the value of the op's own interior input
-        ``x``, and only where the op's VJP does not read ``x``: the caller
+        ``x``, which no op that takes ``_out`` reads in its VJP: the caller
         vouches that no other recorded op reads that array either. The block
         forwards rely on this for the conv-BN-ReLU6 layers and for the
         residual :meth:`eltadd`, which writes into its first operand, the
         ``reduce_pw`` layer's output."""
         if out is None or not self.grad_enabled:
             return
-        if vjp_reads_x:
-            raise ValueError("this op's VJP reads its input, so a recording "
-                             "tape cannot let it write into _out")
         if not x.parents or out is not x.value:
             raise ValueError("on a recording tape _out must be the value of "
                              "the op's own interior input node, not a leaf's")
@@ -247,11 +244,10 @@ class Tape:
             # i-major from +0, as the forward gathers, and is interleaved
             # into NCHW once at the end.
             n, _, h, wd = xv.shape
-            oh, ow = g.shape[2], g.shape[3]
-            taps = _ops._depthwise_taps(kh, kw, stride, pad, h, wd, oh, ow)
-            win = _ops._depthwise_window(kh, kw, stride, pad, h, wd, oh, ow)
+            geo = _ops._depthwise_geometry(kh, kw, stride, pad, h, wd)
+            oh, ow, taps = geo.oh, geo.ow, geo.taps
             gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
-            planes = _ops._phase_planes(xv, stride, win)
+            planes = _ops._phase_planes(xv, geo)
             dw = np.zeros_like(wv)
             chunk = max(1, _DW_CHUNK // gt.size)
             prod = np.empty((min(chunk, max(1, len(taps))), *gt.shape))
@@ -259,19 +255,18 @@ class Tape:
             for k in range(0, len(taps), chunk):
                 part = taps[k:k + chunk]
                 with sweep:
-                    for t, (i, j) in enumerate(part):
-                        np.multiply(gt, _ops._tap(planes, i - win.i0, j - win.j0,
-                                                  oh, ow), out=prod[t])
-                rows, cols = zip(*part)
+                    for t, tap in enumerate(part):
+                        np.multiply(gt, _ops._tap(planes, tap, oh, ow), out=prod[t])
+                rows, cols, *_ = zip(*part)
                 dw[:, rows, cols] = _ops._nchw_sums(prod[:len(part)]).T
             planes[...] = 0.0   # now the dx planes
             tmp = prod[0]
             with sweep:
-                for i, j in taps:
-                    np.multiply(wv[:, i, j, None, None, None], gt, out=tmp)
-                    _ops._tap(planes, i - win.i0, j - win.j0, oh, ow)[...] += tmp
+                for tap in taps:
+                    np.multiply(wv[:, tap[0], tap[1], None, None, None], gt, out=tmp)
+                    _ops._tap(planes, tap, oh, ow)[...] += tmp
             del gt, prod, tmp   # freed before the NCHW copy
-            return _ops._interleave_planes(planes, win, h, wd), dw
+            return _ops._interleave_planes(planes, geo, h, wd), dw
 
         return self._record(out, (x, w), vjp, name)
 
@@ -311,11 +306,11 @@ class Tape:
         """Per-channel batch norm; ``_out`` as in :meth:`relu6`. Training
         mode normalizes by batch statistics (biased variance) and updates
         ``p``'s running stats in place, running <- (1 - momentum)*running +
-        momentum*batch; its VJP reads only ``xhat``, so on a recording tape
-        it may write into its input. Inference mode folds the running
-        statistics into x * scale + shift; its VJP normalizes the input
-        again, so a recording tape refuses its ``_out``."""
-        self._check_out(x, _out, vjp_reads_x=not training)
+        momentum*batch. Inference mode folds the running statistics into
+        x * scale + shift. In both modes the VJP reads only ``inv`` and
+        ``xhat``, taken before ``_out`` is written, so on a recording tape
+        the batch norm may write into its input."""
+        self._check_out(x, _out)
         _batchnorm_shape(x.shape, gamma.shape, beta.shape, p)
         xv, gv, bv = x.value, gamma.value, beta.value
         if training:
@@ -326,17 +321,13 @@ class Tape:
             with _ops._sweep(xv.shape[2] * xv.shape[3]):
                 np.multiply(gv[None, :, None, None], xhat, out=out)
                 out += bv[None, :, None, None]
-            norm = inv, xhat
         else:
-            # the VJP normalizes by the same statistics, only when it runs,
-            # so only a recorded node keeps a copy of them
-            stats = (p.running_mean, p.running_var)
-            if self.grad_enabled:
-                stats = tuple(a.copy() for a in stats)
-            out = _ops._bn_affine_nd(xv, *stats, gv, bv, p.eps, out=_out)
+            if self.grad_enabled:   # only a recorded node runs its VJP
+                inv, xhat = _bn_normalize(xv, p.running_mean, p.running_var, p.eps)
+            out = _ops._bn_affine_nd(xv, p.running_mean, p.running_var, gv, bv,
+                                     p.eps, out=_out)
 
         def vjp(g):
-            inv, xhat = norm if training else _bn_normalize(xv, *stats, p.eps)
             sweep = _ops._sweep(g.shape[2] * g.shape[3])
             with sweep:
                 t = g * xhat
@@ -480,8 +471,13 @@ class Tape:
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"eps must be in [0, 1), got {eps}")
         z = logits.value
-        n, k = z.shape
         labels = np.asarray(labels)
+        if z.ndim != 2 or labels.shape != z.shape[:1]:
+            raise DimensionError(f"logits {z.shape} and labels {labels.shape} "
+                                 f"are not (n, k) and (n,)")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got {labels.dtype}")
+        n, k = z.shape
         if labels.min() < 0 or labels.max() >= k:
             raise ValueError(f"label out of range for {k} classes")
         zmax = z.max(axis=1, keepdims=True)
@@ -656,6 +652,10 @@ def finite_diff_check(
     if max_coords < 1:
         raise ValueError(f"max_coords must be >= 1, got {max_coords}")
     x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("x is empty: there is no coordinate to check")
+    if analytic is not None and np.shape(analytic) != x.shape:
+        raise ValueError(f"analytic has shape {np.shape(analytic)}, x {x.shape}")
     if analytic is None:
         tape = Tape()
         xn = tape.leaf(x, "x")

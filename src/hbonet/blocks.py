@@ -259,15 +259,12 @@ def _apply_layer(tape: Tape, x: Node, lp: LayerParams, training: bool,
         y = tape.conv2d(x, w, stride=spec.stride, pad=spec.pad)
     # Only this layer reads the fresh conv output, so its batch norm and
     # ReLU6 overwrite it instead of allocating two more arrays, and the
-    # layer's recorded nodes share that one array: the training batch-norm
-    # and ReLU6 VJPs read neither it nor the batch-norm output. A recording
-    # inference batch norm allocates, since its VJP normalizes its input
-    # again.
+    # layer's recorded nodes share that one array: the batch-norm and ReLU6
+    # VJPs read neither it nor the batch-norm output.
     if lp.bn is not None:
-        keep = tape.grad_enabled and not training
         y = tape.batchnorm(y, tape.leaf(lp.bn.gamma, f"{base}.gamma"),
                            tape.leaf(lp.bn.beta, f"{base}.beta"),
-                           lp.bn, training, _out=None if keep else y.value)
+                           lp.bn, training, _out=y.value)
     if spec.act:
         y = tape.relu6(y, _out=y.value)
     return y

@@ -14,7 +14,7 @@ its VJP turn each kernel tap into long numpy sweeps over one layout: the
 zero-padded input split into stride x stride phase planes
 (``_phase_planes``), shape (s, s, c, hq, wq, n) with the batch innermost,
 where a tap at any stride reads one (c, oh, ow, n) window. The planes hold
-only the rows and columns that the live taps read (``_depthwise_window``):
+only the rows and columns that the live taps read (``_depthwise_geometry``):
 on the 1x1 and 2x2 maps of a small network most of the padded input is
 padding that no tap reads. A single image
 (n == 1) is swept as one contiguous slice per channel over a full-width
@@ -51,9 +51,8 @@ in inference and in training alike; the values are the same bits. The
 block forwards pass the ``reduce_pw`` layer's output as the residual add's
 ``_out`` for the same reason. On a recording tape ``Tape._check_out``
 allows this only where the output is the value of the op's own interior
-input and the op's VJP does not read it, so the inference batch norm,
-whose VJP normalizes its input again, allocates there. A channel slice on
-the tape is a view of its input, which no later ``_out`` targets.
+input. A channel slice on the tape is a view of its input, which no later
+``_out`` targets.
 """
 from __future__ import annotations
 
@@ -184,59 +183,68 @@ def _conv2d_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarra
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def _live_offsets(k: int, stride: int, pad: int, size: int, out: int) -> list[int]:
-    """Kernel offsets i along one axis whose strided window
-    i, i+stride, ..., i+stride*(out-1) over the padded axis reaches a real
-    position (pad .. pad+size-1) rather than only padding."""
-    return [i for i in range(k)
-            if any(pad <= i + stride * m < pad + size for m in range(out))]
+class _Geometry(NamedTuple):
+    """One depthwise geometry: a kh x kw kernel at stride ``s`` and zero
+    padding over an h x w map, giving an ``oh`` x ``ow`` output.
 
+    The phase planes (``_phase_planes``) hold only the window of the padded
+    input that the live taps read, each plane ``hq`` x ``wq``; the window
+    holds the input's first ``hc`` rows and ``wc`` columns. ``copies``
+    lists, per phase plane (a, b), the first input row y0 and column x0
+    that land in it and where they land, (m0, q0). ``taps`` lists the live
+    taps, i-major, as (i, j, a, b, r, q): kernel offset (i, j) reads its
+    (oh, ow) window from plane (a, b) starting at (r, q) (``_tap``)."""
 
-@lru_cache(maxsize=None)
-def _depthwise_taps(kh: int, kw: int, stride: int, pad: int,
-                    h: int, w: int, oh: int, ow: int) -> tuple[tuple[int, int], ...]:
-    """The (i, j) taps, i-major, that see at least one real input pixel.
-
-    A skipped tap only multiplies padding zeros; its +-0 products change no
-    sum, which starts from +0, so skipping it keeps every value bitwise.
-    Cached per geometry: a network asks for the same few on every call.
-    """
-    return tuple((i, j) for i in _live_offsets(kh, stride, pad, h, oh)
-                 for j in _live_offsets(kw, stride, pad, w, ow))
-
-
-class _Window(NamedTuple):
-    """The part of a zero-padded depthwise input that the live taps read:
-    rows from the first live row offset ``i0`` on, columns from the first
-    live column offset ``j0`` on, so tap (i, j) reads the window as tap
-    (i - i0, j - j0). ``top`` and ``left`` are the padding left above and
-    before the first real pixel; each phase plane of the window is ``hq``
-    x ``wq``."""
-
-    i0: int
-    j0: int
-    top: int
-    left: int
+    s: int
+    oh: int
+    ow: int
     hq: int
     wq: int
+    hc: int
+    wc: int
+    copies: tuple[tuple[int, int, int, int, int, int], ...]
+    taps: tuple[tuple[int, int, int, int, int, int], ...]
 
 
 @lru_cache(maxsize=None)
-def _depthwise_window(kh: int, kw: int, stride: int, pad: int,
-                      h: int, w: int, oh: int, ow: int) -> _Window:
-    """The window of one depthwise geometry (see ``_Window``); cached like
-    ``_depthwise_taps``.
+def _depthwise_geometry(kh: int, kw: int, s: int, pad: int,
+                        h: int, w: int) -> _Geometry:
+    """The geometry of a depthwise conv (see ``_Geometry``), cached: a
+    network asks for the same few on every call.
 
-    On small maps most of the padded input is padding no live tap reads: a
-    1x1 map under a 3x3 kernel pads to 3x3. The window drops it, and the
-    real pixels past the last row or column a live tap reads. Without a
-    live tap the window starts at the first real pixel and no tap reads it.
+    A kernel offset i is live along an axis if its strided window i, i+s,
+    ..., i+s*(out-1) over the padded axis reaches a real position rather
+    than only padding. A skipped tap only multiplies padding zeros; its +-0
+    products change no sum, which starts from +0, so skipping it keeps
+    every value bitwise. On small maps most of the padded input is padding
+    no live tap reads: a 1x1 map under a 3x3 kernel pads to 3x3. The window
+    drops it, and the real pixels past the last row or column a live tap
+    reads. Without a live tap it starts at the first real pixel and no tap
+    reads it.
     """
-    rows = _live_offsets(kh, stride, pad, h, oh) or [pad]
-    cols = _live_offsets(kw, stride, pad, w, ow) or [pad]
-    return _Window(rows[0], cols[0], pad - rows[0], pad - cols[0],
-                   oh + (rows[-1] - rows[0]) // stride,
-                   ow + (cols[-1] - cols[0]) // stride)
+    oh = (h + 2 * pad - kh) // s + 1
+    ow = (w + 2 * pad - kw) // s + 1
+
+    def axis(k, size, out):
+        # live offsets as (i, phase, start), plane length, extent, copies
+        live = [i for i in range(k)
+                if any(pad <= i + s * m < pad + size for m in range(out))]
+        first, last = (live[0], live[-1]) if live else (pad, pad)
+        before = pad - first    # padding the window keeps before the real pixels
+        length = out + (last - first) // s
+        phases = [((a - before) % s, ((a - before) % s + before) // s)
+                  for a in range(s)]
+        return ([(i, (i - first) % s, (i - first) // s) for i in live],
+                length, min(size, length * s - before), phases)
+
+    rows, hq, hc, row_phases = axis(kh, h, oh)
+    cols, wq, wc, col_phases = axis(kw, w, ow)
+    return _Geometry(s, oh, ow, hq, wq, hc, wc,
+                     tuple((a, b, y0, x0, m0, q0)
+                           for a, (y0, m0) in enumerate(row_phases)
+                           for b, (x0, q0) in enumerate(col_phases)),
+                     tuple((i, j, a, b, r, q) for i, a, r in rows
+                           for j, b, q in cols))
 
 
 # Elements per channel block of the flat depthwise accumulator (256 KB), so
@@ -261,110 +269,83 @@ def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.nda
       layout's wq - ow spare columns would cost more than the runs gain.
 
     In both, every output element adds the same live taps
-    (``_depthwise_taps``) from +0 in i-major order, one multiply then one
-    add each, as a plain NCHW shift-and-add over all kh*kw taps does, so
-    both layouts agree with it, and with each other, bitwise. Returns a
+    (``_depthwise_geometry``) from +0 in i-major order, one multiply then
+    one add each, as a plain NCHW shift-and-add over all kh*kw taps does,
+    so both layouts agree with it, and with each other, bitwise. Returns a
     C-contiguous NCHW array.
     """
     n, c, h, wd = x.shape
-    kh, kw = w.shape[1], w.shape[2]
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    taps = _depthwise_taps(kh, kw, stride, pad, h, wd, oh, ow)
+    geo = _depthwise_geometry(w.shape[1], w.shape[2], stride, pad, h, wd)
     kernel = _depthwise_flat if n == 1 else _depthwise_rows
-    return kernel(x, w, stride, pad, oh, ow, taps)
+    return kernel(x, w, geo)
 
 
-def _phases(s: int, top: int, left: int):
-    """For each phase (a, b) of stride ``s``, over a window that starts
-    ``top`` rows above and ``left`` columns before the first real pixel:
-    the first input row y0 and column x0 that land in it, and where they
-    land in the plane, (m0, q0)."""
-    for a in range(s):
-        y0 = (a - top) % s
-        for b in range(s):
-            x0 = (b - left) % s
-            yield a, b, y0, x0, (y0 + top) // s, (x0 + left) // s
-
-
-def _window_extent(win: _Window, s: int, h: int, w: int) -> tuple[int, int]:
-    """The rows and columns of an h x w input that the window holds."""
-    return min(h, win.hq * s - win.top), min(w, win.wq * s - win.left)
-
-
-def _phase_planes(x: np.ndarray, s: int, win: _Window,
-                  spare_rows: int = 0) -> np.ndarray:
-    """The window ``win`` of the zero-padded NCHW ``x`` as stride x stride
-    phase planes of shape (s, s, c, hq, wq, n), batch innermost: window
-    pixel (r, q), counted from the window's corner, sits in plane
-    (r % s, q % s) at (r // s, q // s). hq and wq are the window's, plus
-    ``spare_rows`` zero rows. Only padding and pixels that no live tap
-    reads are left out, so every tap reads the values it would read from
-    the whole padded input. At s == 1 this is the padded (c, h, w, n)
-    array cut to the window."""
-    n, c, h, wd = x.shape
-    hc, wc = _window_extent(win, s, h, wd)
-    planes = np.zeros((s, s, c, win.hq + spare_rows, win.wq, n))
-    for a, b, y0, x0, m0, q0 in _phases(s, win.top, win.left):
-        src = x[:, :, y0:hc:s, x0:wc:s].transpose(1, 2, 3, 0)
+def _phase_planes(x: np.ndarray, geo: _Geometry, spare_rows: int = 0) -> np.ndarray:
+    """The window of ``geo`` over the zero-padded NCHW ``x`` as s x s phase
+    planes of shape (s, s, c, hq, wq, n), batch innermost: window pixel
+    (r, q), counted from the window's corner, sits in plane (r % s, q % s)
+    at (r // s, q // s), plus ``spare_rows`` zero rows. Every tap reads the
+    values it would read from the whole padded input. At s == 1 this is
+    the padded (c, h, w, n) array cut to the window."""
+    n, c = x.shape[:2]
+    s = geo.s
+    planes = np.zeros((s, s, c, geo.hq + spare_rows, geo.wq, n))
+    for a, b, y0, x0, m0, q0 in geo.copies:
+        src = x[:, :, y0:geo.hc:s, x0:geo.wc:s].transpose(1, 2, 3, 0)
         planes[a, b, :, m0:m0 + src.shape[1], q0:q0 + src.shape[2]] = src
     return planes
 
 
-def _interleave_planes(planes: np.ndarray, win: _Window, h: int, w: int) -> np.ndarray:
+def _interleave_planes(planes: np.ndarray, geo: _Geometry, h: int, w: int) -> np.ndarray:
     """The inverse of ``_phase_planes``: the C-contiguous (n, c, h, w) array
     of the real pixels that ``planes`` holds, +0 where the window holds
     none."""
-    s, c, n = planes.shape[0], planes.shape[2], planes.shape[5]
-    hc, wc = _window_extent(win, s, h, w)
-    out = np.empty((n, c, h, w)) if (hc, wc) == (h, w) else np.zeros((n, c, h, w))
-    for a, b, y0, x0, m0, q0 in _phases(s, win.top, win.left):
-        dst = out[:, :, y0:hc:s, x0:wc:s]
+    c, n = planes.shape[2], planes.shape[5]
+    s = geo.s
+    out = np.empty((n, c, h, w)) if (geo.hc, geo.wc) == (h, w) else np.zeros((n, c, h, w))
+    for a, b, y0, x0, m0, q0 in geo.copies:
+        dst = out[:, :, y0:geo.hc:s, x0:geo.wc:s]
         dst[...] = planes[a, b, :, m0:m0 + dst.shape[2],
                           q0:q0 + dst.shape[3]].transpose(3, 0, 1, 2)
     return out
 
 
-def _tap(planes: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
-    """The (c, oh, ow, n) view of ``planes`` that tap (i, j) reads: output
-    (y, x) reads plane (i % s, j % s) at (y + i // s, x + j // s)."""
-    s = planes.shape[0]
-    return planes[i % s, j % s, :, i // s:i // s + oh, j // s:j // s + ow]
+def _tap(planes: np.ndarray, tap: tuple, oh: int, ow: int) -> np.ndarray:
+    """The (c, oh, ow, n) view of ``planes`` that ``tap``, an entry of
+    ``_Geometry.taps``, reads."""
+    _, _, a, b, r, q = tap
+    return planes[a, b, :, r:r + oh, q:q + ow]
 
 
-def _depthwise_rows(x, w, stride, pad, oh, ow, taps):
+def _depthwise_rows(x, w, geo):
     """Row layout: each tap is one sweep over the (c, oh, ow, n) view of the
     phase planes that it reads (``_tap``), into a (c, oh, ow, n)
     accumulator; rows are ow*n elements at every stride."""
-    n, _, h, wd = x.shape
-    win = _depthwise_window(w.shape[1], w.shape[2], stride, pad, h, wd, oh, ow)
-    planes = _phase_planes(x, stride, win)
+    n, oh, ow = x.shape[0], geo.oh, geo.ow
+    planes = _phase_planes(x, geo)
     out = np.zeros((w.shape[0], oh, ow, n))
     tmp = np.empty_like(out)
     with _sweep(ow * n):
-        for i, j in taps:
-            np.multiply(w[:, i, j, None, None, None],
-                        _tap(planes, i - win.i0, j - win.j0, oh, ow), out=tmp)
+        for tap in geo.taps:
+            np.multiply(w[:, tap[0], tap[1], None, None, None],
+                        _tap(planes, tap, oh, ow), out=tmp)
             out += tmp
     del planes, tmp  # freed before the NCHW copy to keep peak memory down
     return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
 
 
-def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
+def _depthwise_flat(x, w, geo):
     """Flat layout: the phase planes (``_phase_planes``, one spare row)
-    flattened per channel, so the window that tap (i, j), read as (u, v) in
-    the depthwise window, reads (``_tap``) is one contiguous slice at flat
-    offset (u//s * wq + v//s) * n, oh*wq*n long,
-    over a full-width (oh, wq) grid. The wq - ow columns past ow wrap into
-    the next row and are dropped by the final NCHW copy; the spare row
-    absorbs the last tap's overrun. Channels are swept in blocks of about
-    ``_DW_BLOCK`` accumulator elements."""
-    n, c, h, wd = x.shape
-    s = stride
-    win = _depthwise_window(w.shape[1], w.shape[2], s, pad, h, wd, oh, ow)
-    planes = _phase_planes(x, s, win, spare_rows=1)
-    wq = win.wq
-    flat = planes.reshape(s, s, c, -1)
+    flattened per channel, so the window that tap (i, j, a, b, r, q) reads
+    (``_tap``) is one contiguous slice of plane (a, b) at flat offset
+    (r * wq + q) * n, oh*wq*n long, over a full-width (oh, wq) grid. The
+    wq - ow columns past ow wrap into the next row and are dropped by the
+    final NCHW copy; the spare row absorbs the last tap's overrun. Channels
+    are swept in blocks of about ``_DW_BLOCK`` accumulator elements."""
+    n, c = x.shape[:2]
+    oh, ow, wq = geo.oh, geo.ow, geo.wq
+    planes = _phase_planes(x, geo, spare_rows=1)
+    flat = planes.reshape(geo.s, geo.s, c, -1)
     span = oh * wq * n
     block = max(1, _DW_BLOCK // span)
     out = np.empty((n, c, oh, ow))
@@ -375,11 +356,10 @@ def _depthwise_flat(x, w, stride, pad, oh, ow, taps):
             c1 = min(c0 + block, c)
             acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
             acc_b.fill(0.0)
-            for i, j in taps:
-                u, v = i - win.i0, j - win.j0
-                off = ((u // s) * wq + v // s) * n
+            for i, j, a, b, r, q in geo.taps:
+                off = (r * wq + q) * n
                 np.multiply(w[c0:c1, i, j, None],
-                            flat[u % s, v % s, c0:c1, off:off + span], out=tmp_b)
+                            flat[a, b, c0:c1, off:off + span], out=tmp_b)
                 acc_b += tmp_b
             out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
                 .transpose(3, 0, 1, 2)

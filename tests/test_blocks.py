@@ -356,8 +356,8 @@ class FreshTape(Tape):
 
 class TestRecordedInPlaceEpilogue:
     """On a recording tape each layer's batch norm and ReLU6 overwrite the
-    conv output (the inference batch norm excepted). Output, leaf gradients
-    and running statistics must equal the fresh-allocation reference's."""
+    conv output. Output, leaf gradients and running statistics must equal
+    the fresh-allocation reference's."""
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("cfg", [

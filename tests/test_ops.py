@@ -125,10 +125,9 @@ class TestDepthwiseBitwise:
         want = _depthwise_reference(x, wt, stride, pad)
         assert y.value.shape == want.shape
         assert y.value.tobytes() == want.tobytes()
-        oh, ow = want.shape[2], want.shape[3]
-        taps = ops._depthwise_taps(k, k, stride, pad, h, w, oh, ow)
+        geo = ops._depthwise_geometry(k, k, stride, pad, h, w)
         for layout in (ops._depthwise_flat, ops._depthwise_rows):
-            got = layout(x, wt, stride, pad, oh, ow, taps)
+            got = layout(x, wt, geo)
             assert got.tobytes() == want.tobytes()
         g = rng.normal(size=want.shape)
         dx, dw = y.vjp(g)
@@ -136,7 +135,7 @@ class TestDepthwiseBitwise:
         assert dx.shape == want_dx.shape
         assert dx.tobytes() == want_dx.tobytes()
         assert np.array_equal(dw, want_dw)
-        rows, cols = zip(*taps)
+        rows, cols, *_ = zip(*geo.taps)
         assert dw[:, rows, cols].tobytes() == want_dw[:, rows, cols].tobytes()
 
     # n = 3 takes the row layout, n = 1 the flat one
@@ -192,13 +191,13 @@ class TestDepthwiseWindow:
         wt = rng.normal(size=(c, k, k))
         want = _depthwise_reference(x, wt, stride, pad)
         oh, ow = want.shape[2], want.shape[3]
-        taps = ops._depthwise_taps(k, k, stride, pad, hw, hw, oh, ow)
-        win = ops._depthwise_window(k, k, stride, pad, hw, hw, oh, ow)
-        planes = ops._phase_planes(x, stride, win)
+        geo = ops._depthwise_geometry(k, k, stride, pad, hw, hw)
+        planes = ops._phase_planes(x, geo)
         xp = ops._pad_nd(x, pad)
-        for i, j in taps:
+        for tap in geo.taps:
+            i, j = tap[:2]
             full = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-            got = ops._tap(planes, i - win.i0, j - win.j0, oh, ow)
+            got = ops._tap(planes, tap, oh, ow)
             assert got.tobytes() == np.ascontiguousarray(
                 full.transpose(1, 2, 3, 0)).tobytes()
         assert ops._depthwise_nd(x, wt, stride, pad).tobytes() == want.tobytes()
@@ -209,6 +208,44 @@ class TestDepthwiseWindow:
         want_dx, want_dw = _depthwise_vjp_reference(x, wt, g, stride)
         assert dx.tobytes() == want_dx.tobytes()
         assert dw.tobytes() == want_dw.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(kh=st.integers(1, 5), kw=st.integers(1, 5), stride=st.integers(1, 3),
+           pad=st.integers(0, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+           n=st.integers(1, 2), seed=st.integers(0, 2 ** 16))
+    @example(kh=1, kw=1, stride=3, pad=2, h=1, w=1, n=1, seed=0)   # no live tap
+    @example(kh=5, kw=3, stride=2, pad=3, h=2, w=9, n=2, seed=1)
+    def test_geometry_taps_read_their_windows(self, kh, kw, stride, pad, h, w, n, seed):
+        """Through ``_tap`` on ``_phase_planes`` each live tap reads exactly
+        the bytes of its strided window of the padded input; every kernel
+        offset left out reads only padding; where a tap is live, the planes
+        are no larger than the rows and columns the live taps read."""
+        assume(h + 2 * pad >= kh and w + 2 * pad >= kw)
+        x = np.random.default_rng(seed).uniform(1.0, 2.0, size=(n, 2, h, w))
+        oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+        geo = ops._depthwise_geometry(kh, kw, stride, pad, h, w)
+        assert (geo.oh, geo.ow) == (oh, ow)
+        planes = ops._phase_planes(x, geo)
+
+        def window(a, i, j):
+            return ops._pad_nd(a, pad)[:, :, i:i + stride * oh:stride,
+                                       j:j + stride * ow:stride]
+
+        live = [tap[:2] for tap in geo.taps]
+        assert live == sorted(set(live))    # i-major, each once
+        for tap in geo.taps:
+            want = np.ascontiguousarray(window(x, *tap[:2]).transpose(1, 2, 3, 0))
+            got = ops._tap(planes, tap, oh, ow)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        real = np.ones_like(x)
+        for i in range(kh):
+            for j in range(kw):
+                assert ((i, j) in live) == window(real, i, j).any()
+        for axis, out, offsets in ((3, oh, [i for i, _ in live]),
+                                   (4, ow, [j for _, j in live])):
+            if offsets:
+                read = (out - 1) * stride + max(offsets) - min(offsets) + 1
+                assert planes.shape[axis] <= -(-read // stride)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_live_tap_gives_zeros(self, n):
@@ -236,10 +273,9 @@ class TestDepthwiseWindow:
         stride: fewer than the whole padded input needs."""
         x = np.ones((2, 3, hw, hw))
         oh = (hw + 2 * pad - k) // stride + 1
-        taps = ops._depthwise_taps(k, k, stride, pad, hw, hw, oh, oh)
-        rows = [i for i, _ in taps]
-        win = ops._depthwise_window(k, k, stride, pad, hw, hw, oh, oh)
-        planes = ops._phase_planes(x, stride, win)
+        geo = ops._depthwise_geometry(k, k, stride, pad, hw, hw)
+        rows = [i for i, *_ in geo.taps]
+        planes = ops._phase_planes(x, geo)
         read = (oh - 1) * stride + max(rows) - min(rows) + 1
         assert planes.shape[3:5] == (-(-read // stride),) * 2
         assert planes.shape[3] < -(-(hw + 2 * pad) // stride)

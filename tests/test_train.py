@@ -10,6 +10,7 @@ from test_autodiff import assert_leaf_grads_bitwise, keep_everything_backward
 
 from hbonet.autodiff import Tape, backward, finite_diff_check
 from hbonet.network import build_hbonet, build_network, hbonet_spec
+from hbonet.tensor import DimensionError
 from hbonet.train import (
     LogRow,
     OptimizerState,
@@ -155,6 +156,22 @@ class TestLabelSmoothCe:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             label_smooth_ce(np.zeros((1, 3)), np.array([3]), 0.0)
+
+    @pytest.mark.parametrize("logits,labels,error", [
+        (np.zeros((2, 3)), np.array([[1], [2]]), DimensionError),
+        (np.zeros((2, 3)), np.array([0, 1, 2]), DimensionError),
+        (np.zeros((3, 3)), np.array([0, 1]), DimensionError),
+        (np.zeros(3), np.array([0]), DimensionError),
+        (np.zeros((2, 3)), np.array([0.0, 1.0]), ValueError),
+        (np.zeros((2, 3)), np.array([True, False]), ValueError),
+    ], ids=["column-labels", "more-labels", "fewer-labels", "1d-logits",
+            "float-labels", "bool-labels"])
+    def test_bad_labels_rejected(self, logits, labels, error):
+        """Labels index one class per row, so they must be integers of
+        shape (n,): (n, 1) labels would broadcast the index into a wrong
+        loss."""
+        with pytest.raises(error):
+            label_smooth_ce(logits, labels, 0.1)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
