@@ -30,11 +30,15 @@ __all__ = ["Node", "Tape", "ShapeTape", "TapeConsumedError", "backward",
 
 class TapeConsumedError(RuntimeError):
     """``backward`` over a tape whose interior VJPs an earlier ``backward``
-    already freed."""
+    already freed, or a read of a node value the tape released."""
 
 
 class Node:
-    """One value in the recorded graph."""
+    """One value in the recorded graph. On a recording tape an interior node
+    holds its value only while the forward may still read it: an op writing
+    into it through ``_out`` takes the array over, and :meth:`Tape.release`
+    drops it once no later op reads it. VJPs keep what their closures
+    captured, and ``backward`` keeps values."""
 
     __slots__ = ("value", "parents", "vjp", "grad", "name", "tape")
 
@@ -52,6 +56,20 @@ class Node:
 
     def __repr__(self):
         return f"Node({self.name}, shape={self.shape})"
+
+
+class _Released(Node):
+    """A released node: reading its value, or recording an op on it, raises
+    TapeConsumedError. Its own class keeps a live node's reads plain slots."""
+
+    __slots__ = ()
+
+    @property
+    def value(self):
+        raise TapeConsumedError(f"the {self.name} node's value was released")
+
+    def __repr__(self):
+        return f"Node({self.name}, released)"
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +195,32 @@ class Tape:
         """With grad disabled ``_out`` may be any array the caller owns. On a
         recording tape it must be the value of the op's own interior input
         ``x``, which no op that takes ``_out`` reads in its VJP: the caller
-        vouches that no other recorded op reads that array either. The block
-        forwards rely on this for the conv-BN-ReLU6 layers and for the
-        residual :meth:`eltadd`, which writes into its first operand, the
-        ``reduce_pw`` layer's output."""
+        vouches that no other recorded op reads that array either, and the
+        new node takes it over from ``x`` (:class:`Node`). The block forwards
+        rely on this for the conv-BN-ReLU6 layers and the residual
+        :meth:`eltadd`, which writes into the ``reduce_pw`` layer's output."""
         if out is None or not self.grad_enabled:
             return
         if not x.parents or out is not x.value:
             raise ValueError("on a recording tape _out must be the value of "
                              "the op's own interior input node, not a leaf's")
 
-    def _record(self, value, parents, vjp, name) -> Node:
+    def _record(self, value, parents, vjp, name, takes_x=False) -> Node:
         if not self.grad_enabled:
             return Node(value, (), None, name, self)
         node = Node(value, tuple(parents), vjp, name, self)
         self.nodes.append(node)
-        return node
+        return self.release(node, parents[0]) if takes_x else node
+
+    def release(self, out: Node, *spent: Node) -> Node:
+        """``out``, after dropping the value of each interior ``spent`` node,
+        which no later forward op reads: the wiring wraps the op that reads
+        them last. Leaves, and a grad-disabled tape's nodes, keep values."""
+        for node in spent:
+            if node.parents and not isinstance(node, _Released):
+                node.value = None
+                node.__class__ = _Released
+        return out
 
     # -- taped operations ---------------------------------------------------
 
@@ -298,7 +326,7 @@ class Tape:
         def vjp(g):
             return (g * mask,)
 
-        return self._record(out, (x,), vjp, "relu6")
+        return self._record(out, (x,), vjp, "relu6", _out is not None)
 
     def batchnorm(self, x: Node, gamma: Node, beta: Node,
                   p: _ops.BatchNormParams, training: bool = False, *,
@@ -352,7 +380,7 @@ class Tape:
                 gx *= inv[None, :, None, None]
             return gx, dgamma, dbeta
 
-        return self._record(out, (x, gamma, beta), vjp, "batchnorm")
+        return self._record(out, (x, gamma, beta), vjp, "batchnorm", _out is not None)
 
     def bilinear_upsample(self, x: Node, factor: int) -> Node:
         """Separable bilinear interpolation by an integer factor, with
@@ -425,7 +453,7 @@ class Tape:
         def vjp(g):
             return g, g
 
-        return self._record(out, (a, b), vjp, "eltadd")
+        return self._record(out, (a, b), vjp, "eltadd", _out is not None)
 
     def flatten_spatial(self, x: Node) -> Node:
         """(n, c, 1, 1) -> (n, c) for the classifier head."""

@@ -306,7 +306,7 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],
         y = layer(layer(y, f"casc{u}_dw"), f"casc{u}_pw")
     factor = 2 ** k if cfg.stride == 1 else 2 ** (k - 1)
     if factor > 1:
-        y = tape.bilinear_upsample(y, factor)
+        y = tape.release(tape.bilinear_upsample(y, factor), y)
     y = layer(y, "smooth_dw")
 
     # the pool works per channel, so pooling only the kept channels gives
@@ -314,7 +314,7 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],
     short = tape.take_first_channels(x, cfg.shortcut_width)
     if cfg.stride == 2:
         short = tape.avgpool(short, 2, 2)
-    return tape.concat_channels(y, short)
+    return tape.release(tape.concat_channels(y, short), y, short)
 
 
 def block_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],

@@ -255,7 +255,8 @@ class ClassifierUnit:
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
         lp = self.layers[self.name]
         y = tape.flatten_spatial(_apply_layer(tape, x, lp, training))
-        return tape.add_bias(y, tape.leaf(lp.bias, f"{self.name}.bias"))
+        bias = tape.leaf(lp.bias, f"{self.name}.bias")
+        return tape.release(tape.add_bias(y, bias), y)
 
 
 class Network:
@@ -275,8 +276,8 @@ class Network:
 
     def forward_node(self, x: Node, tape: Tape, training: bool = False) -> Node:
         y = x
-        for unit in self.units:
-            y = unit.forward_node(y, tape, training)
+        for unit in self.units:     # a unit's input has no later reader
+            y = tape.release(unit.forward_node(y, tape, training), y)
         return y
 
     def _slots(self):

@@ -219,8 +219,7 @@ def _depthwise_geometry(kh: int, kw: int, s: int, pad: int,
     every value bitwise. On small maps most of the padded input is padding
     no live tap reads: a 1x1 map under a 3x3 kernel pads to 3x3. The window
     drops it, and the real pixels past the last row or column a live tap
-    reads. Without a live tap it starts at the first real pixel and no tap
-    reads it.
+    reads. Without a live tap, on either axis, it holds no real pixel.
     """
     oh = (h + 2 * pad - kh) // s + 1
     ow = (w + 2 * pad - kw) // s + 1
@@ -239,6 +238,8 @@ def _depthwise_geometry(kh: int, kw: int, s: int, pad: int,
 
     rows, hq, hc, row_phases = axis(kh, h, oh)
     cols, wq, wc, col_phases = axis(kw, w, ow)
+    if not (rows and cols):     # no live tap: planes of zeros, no copy
+        hq, wq, hc, wc = oh, ow, 0, 0
     return _Geometry(s, oh, ow, hq, wq, hc, wc,
                      tuple((a, b, y0, x0, m0, q0)
                            for a, (y0, m0) in enumerate(row_phases)

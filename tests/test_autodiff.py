@@ -89,6 +89,21 @@ def keep_everything_backward(tape, loss_node):
             if not n.parents and n.grad is not None]
 
 
+class KeepingTape(Tape):
+    """A recording tape that also keeps each op's output array as it is
+    recorded, keyed by node, since the tape itself drops a node's value once
+    no later op reads it. Kept alive, the arrays keep distinct ids."""
+
+    def __init__(self):
+        super().__init__()
+        self.outputs = {}
+
+    def _record(self, value, parents, vjp, name, *args):
+        node = super()._record(value, parents, vjp, name, *args)
+        self.outputs[node] = value
+        return node
+
+
 def assert_leaf_grads_bitwise(got, want):
     """``got``: backward's ``{leaf: grad}``; ``want``: the reference's
     (name, grad) list for a second recording of the same forward."""
@@ -111,7 +126,7 @@ class TestLiveness:
         p = init_block_params(cfg, rng)
         x = rng.normal(size=(2, 8, 8, 8))
         weights = rng.normal(size=(2, 8, 8, 8))
-        tape = Tape()
+        tape = KeepingTape()
         out = hbo_forward_node(tape.leaf(x, "input"), cfg, p, tape, training)
         return tape, tape.weighted_sum(out, weights)
 
@@ -139,7 +154,8 @@ class TestLiveness:
         assert bns
         for node in bns:
             held = [cell.cell_contents for cell in node.vjp.__closure__]
-            assert not any(a is node.parents[0].value or a is node.value for a in held)
+            assert not any(a is tape.outputs[node.parents[0]] or a is tape.outputs[node]
+                           for a in held)
 
     def test_second_backward_raises_and_keeps_leaf_grads(self):
         tape = Tape()
@@ -153,6 +169,35 @@ class TestLiveness:
         with pytest.raises(TapeConsumedError):   # a new loss over freed nodes
             backward(tape, tape.sum_all(y))
         assert x.grad is first
+
+    def test_released_value_raises_and_backward_is_unchanged(self):
+        """A value the tape dropped, taken over through ``_out`` or released
+        by the wiring, raises TapeConsumedError when read or recorded on,
+        never an AttributeError on None. Leaves keep their values, and the
+        leaf gradients equal those of a tape that drops nothing."""
+        x_arr = np.arange(-4.0, 12.0).reshape(1, 1, 4, 4)
+
+        def run(release):
+            tape = Tape()
+            x = tape.leaf(x_arr, "x")
+            a = tape.eltadd(x, x)
+            b = tape.relu6(a, _out=a.value) if release else tape.relu6(a)
+            up = tape.bilinear_upsample(b, 2)
+            loss = tape.sum_all(tape.release(up, b, x) if release else up)
+            return tape, x, a, b, loss
+
+        tape, x, a, b, loss = run(release=True)
+        for node in (a, b):
+            assert repr(node) == f"Node({node.name}, released)"
+            with pytest.raises(TapeConsumedError):
+                node.value
+            with pytest.raises(TapeConsumedError):
+                tape.relu6(node)
+        assert x.value is not None
+        assert tape.release(loss, a, b) is loss     # a second release is a no-op
+        ref_tape, *_, ref_loss = run(release=False)
+        assert_leaf_grads_bitwise(backward(tape, loss),
+                                  keep_everything_backward(ref_tape, ref_loss))
 
 
 def _interior(tape, rng):
@@ -200,10 +245,11 @@ class TestOutContract:
             p = _random_bn(rng)
             tape = Tape()
             x = _interior(tape, rng)
-            kw = {"_out": x.value} if in_place else {}
+            xv = x.value
+            kw = {"_out": xv} if in_place else {}
             y = (tape.relu6(x, **kw) if op == "relu6"
                  else _batchnorm(tape, x, p, op == "batchnorm", **kw))
-            assert (y.value is x.value) == in_place
+            assert (y.value is xv) == in_place
             value = y.value.tobytes()
             grads = backward(tape, tape.weighted_sum(y, rng.normal(size=y.shape)))
             results.append((value, [(n.name, g.tobytes()) for n, g in grads.items()],

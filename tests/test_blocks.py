@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_autodiff import assert_leaf_grads_bitwise, keep_everything_backward
+from test_autodiff import KeepingTape, assert_leaf_grads_bitwise, keep_everything_backward
 
 from hbonet import ops
 from hbonet.autodiff import Tape, backward
@@ -343,7 +343,7 @@ class TestInPlaceEpilogue:
         assert forward(net, x).tobytes() == first.tobytes()
 
 
-class FreshTape(Tape):
+class FreshTape(KeepingTape):
     """The fresh-allocation reference: a recording tape whose batch norm
     and ReLU6 ignore ``_out``, so every node gets its own output array."""
 
@@ -382,14 +382,14 @@ class TestRecordedInPlaceEpilogue:
 
         ref_tape, ref_loss, ref_y, ref_stats = run(FreshTape)
         want = keep_everything_backward(ref_tape, ref_loss)
-        tape, loss, y, stats = run(Tape)
+        tape, loss, y, stats = run(KeepingTape)
         assert y.value.tobytes() == ref_y.value.tobytes()
         assert loss.value.tobytes() == ref_loss.value.tobytes()
         assert stats == ref_stats
         assert_leaf_grads_bitwise(backward(tape, loss), want)
         # and the layers did share their arrays
-        arrays = {id(n.value) for n in tape.nodes if n.parents}
-        assert len(arrays) < len({id(n.value) for n in ref_tape.nodes if n.parents})
+        arrays = {id(a) for a in tape.outputs.values()}
+        assert len(arrays) < len({id(a) for a in ref_tape.outputs.values()})
 
 
 class TestWidestIntermediate:
@@ -400,20 +400,19 @@ class TestWidestIntermediate:
         h = w = 8
         cfg = BlockConfig(4, 4, 6, 1, HBO)
         p = init_block_params(cfg, np.random.default_rng(0))
-        tape = Tape()
+        tape = KeepingTape()
         xn = tape.leaf(np.random.default_rng(1).normal(size=(1, 4, h, w)), "x")
         out = hbo_forward_node(xn, cfg, p, tape)
-        intermediates = [n for n in tape.nodes
-                         if n.parents and n is not out]
-        biggest = max(n.value.size for n in intermediates)
+        intermediates = [a for n, a in tape.outputs.items() if n is not out]
+        biggest = max(a.size for a in intermediates)
         assert biggest == 6 * 4 * (h // 2) * (w // 2)
 
         inv_cfg = BlockConfig(4, 4, 6, 1, INV)
         inv_p = init_block_params(inv_cfg, np.random.default_rng(2))
-        inv_tape = Tape()
+        inv_tape = KeepingTape()
         inv_x = inv_tape.leaf(np.random.default_rng(3).normal(size=(1, 4, h, w)))
         from hbonet.blocks import inverted_residual_forward_node
         inverted_residual_forward_node(inv_x, inv_cfg, inv_p, inv_tape)
-        inv_biggest = max(n.value.size for n in inv_tape.nodes if n.parents)
+        inv_biggest = max(a.size for a in inv_tape.outputs.values())
         assert inv_biggest == 6 * 4 * h * w
         assert inv_biggest == 4 * biggest

@@ -215,11 +215,13 @@ class TestDepthwiseWindow:
            n=st.integers(1, 2), seed=st.integers(0, 2 ** 16))
     @example(kh=1, kw=1, stride=3, pad=2, h=1, w=1, n=1, seed=0)   # no live tap
     @example(kh=5, kw=3, stride=2, pad=3, h=2, w=9, n=2, seed=1)
+    @example(kh=1, kw=3, stride=2, pad=1, h=1, w=3, n=1, seed=2)   # rows dead, columns live
     def test_geometry_taps_read_their_windows(self, kh, kw, stride, pad, h, w, n, seed):
         """Through ``_tap`` on ``_phase_planes`` each live tap reads exactly
         the bytes of its strided window of the padded input; every kernel
-        offset left out reads only padding; where a tap is live, the planes
-        are no larger than the rows and columns the live taps read."""
+        offset left out reads only padding; the planes are no larger than
+        the rows and columns the live taps read, an output's worth where no
+        tap is live, and then hold no real pixel."""
         assume(h + 2 * pad >= kh and w + 2 * pad >= kw)
         x = np.random.default_rng(seed).uniform(1.0, 2.0, size=(n, 2, h, w))
         oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
@@ -243,9 +245,11 @@ class TestDepthwiseWindow:
                 assert ((i, j) in live) == window(real, i, j).any()
         for axis, out, offsets in ((3, oh, [i for i, _ in live]),
                                    (4, ow, [j for _, j in live])):
-            if offsets:
-                read = (out - 1) * stride + max(offsets) - min(offsets) + 1
-                assert planes.shape[axis] <= -(-read // stride)
+            spread = max(offsets) - min(offsets) if offsets else 0
+            read = (out - 1) * stride + spread + 1
+            assert planes.shape[axis] <= -(-read // stride)
+        if not live:
+            assert not planes.any()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_live_tap_gives_zeros(self, n):
