@@ -40,15 +40,14 @@ class Node:
     drops it once no later op reads it. VJPs keep what their closures
     captured, and ``backward`` keeps values."""
 
-    __slots__ = ("value", "parents", "vjp", "grad", "name", "tape")
+    __slots__ = ("value", "parents", "vjp", "grad", "name")
 
-    def __init__(self, value, parents, vjp, name, tape):
+    def __init__(self, value, parents, vjp, name):
         self.value = value
         self.parents = parents
         self.vjp = vjp
         self.grad = None
         self.name = name
-        self.tape = tape
 
     @property
     def shape(self):
@@ -186,7 +185,7 @@ class Tape:
         self.nodes: list[Node] = []
 
     def leaf(self, value: np.ndarray, name: str = "leaf") -> Node:
-        node = Node(np.asarray(value, dtype=np.float64), (), None, name, self)
+        node = Node(np.asarray(value, dtype=np.float64), (), None, name)
         if self.grad_enabled:
             self.nodes.append(node)
         return node
@@ -207,8 +206,8 @@ class Tape:
 
     def _record(self, value, parents, vjp, name, takes_x=False) -> Node:
         if not self.grad_enabled:
-            return Node(value, (), None, name, self)
-        node = Node(value, tuple(parents), vjp, name, self)
+            return Node(value, (), None, name)
+        node = Node(value, tuple(parents), vjp, name)
         self.nodes.append(node)
         return self.release(node, parents[0]) if takes_x else node
 
@@ -561,7 +560,7 @@ class ShapeTape(Tape):
     def leaf(self, value, name: str = "leaf") -> Node:
         prefix = name.rpartition(".")[0]
         self.params[prefix] = self.params.get(prefix, 0) + math.prod(value.shape)
-        return Node(value, (), None, name, self)
+        return Node(value, (), None, name)
 
 
 def _symbolic_op(name: str, rule):
@@ -580,7 +579,7 @@ def _symbolic_op(name: str, rule):
             macs = math.prod(shape[1:]) * math.prod(w.value.shape[1:])
             self.rows.append([w.name.rpartition(".")[0], macs, shape[1:],
                               x.value.shape[2:]])
-        return Node(Shape(shape), (), None, name, self)
+        return Node(Shape(shape), (), None, name)
 
     op.__name__ = name
     return op
@@ -670,7 +669,8 @@ def finite_diff_check(
     """Max relative error between an analytic gradient and central differences.
 
     ``f`` maps an ndarray to a scalar. If ``analytic`` is not given it is
-    obtained by running ``f`` over a tape (``f`` must then accept a Node).
+    obtained by running ``f`` over a tape: ``f`` must then take
+    ``(tape, node)`` and return the loss node it records on ``tape``.
     On tensors larger than ``max_coords`` a seeded sample of coordinates is
     checked. Relative error is |a - n| / max(1, |a|, |n|); a coordinate
     whose error is NaN makes the result NaN, which fails every threshold.
@@ -687,10 +687,12 @@ def finite_diff_check(
     if analytic is None:
         tape = Tape()
         xn = tape.leaf(x, "x")
-        loss = f(xn)
-        backward(tape, loss)
+        backward(tape, f(tape, xn))
         analytic = xn.grad
-        func = lambda arr: float(f(Tape(grad_enabled=False).leaf(arr)).value)
+
+        def func(arr):
+            t = Tape(grad_enabled=False)
+            return float(f(t, t.leaf(arr)).value)
     else:
         func = lambda arr: float(f(arr))
     flat = x.ravel()

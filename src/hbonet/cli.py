@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,8 +31,14 @@ from .tensor import Tensor
 from .train import ToyConfig, train_toy, write_log_csv
 
 
-# (argument, test, requirement) for the numeric flags, checked before any
-# work so that a bad value exits 2 with one line instead of a traceback
+def _writable(path: str) -> bool:
+    folder = os.path.dirname(path) or "."
+    return (os.path.isdir(folder) and not os.path.isdir(path)
+            and os.access(path if os.path.exists(path) else folder, os.W_OK))
+
+
+# (argument, test, requirement) for the numeric and output-path flags, checked
+# before any work: a bad value exits 2 with one line, not a traceback or a lost run
 _FLAG_RULES = (
     ("width", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("divisor", lambda v: v in (0, 2, 4, 8), "0 (the default policy), 2, 4 or 8"),
@@ -44,6 +51,9 @@ _FLAG_RULES = (
     ("lr", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("threshold", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("csv", _writable, "a writable file path"),
+    ("json", _writable, "a writable file path"),
+    ("log_csv", _writable, "a writable file path"),
 )
 
 

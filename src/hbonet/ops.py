@@ -16,10 +16,12 @@ zero-padded input split into stride x stride phase planes
 where a tap at any stride reads one (c, oh, ow, n) window. The planes hold
 only the rows and columns that the live taps read (``_depthwise_geometry``):
 on the 1x1 and 2x2 maps of a small network most of the padded input is
-padding that no tap reads. A single image
-(n == 1) is swept as one contiguous slice per channel over a full-width
-output grid; a batch as one run of ow*n elements per output row. The VJP
-holds g as (c, oh, ow, n) and scatters dx into phase planes that are
+padding that no tap reads. A single image (n == 1) is swept as one
+contiguous slice per channel over a full-width output grid, one channel
+block at a time, each block's planes built just before its sweep: a call
+holds its input and output plus one block's planes, accumulator and
+scratch. A batch is swept as one run of ow*n elements per output row. The
+VJP holds g as (c, oh, ow, n) and scatters dx into phase planes that are
 interleaved into NCHW once at the end. Each output and dx element adds the
 same taps in the same order as a plain NCHW shift-and-add, so the layouts
 give its values bit for bit.
@@ -249,31 +251,25 @@ def _depthwise_geometry(kh: int, kw: int, s: int, pad: int,
 
 
 # Elements per channel block of the flat depthwise accumulator (256 KB), so
-# the accumulator and its multiply scratch stay in a typical L2 cache. With
-# the sweeps unbuffered, blocks of 16k-64k elements time within 2% of each
-# other over the batch-1 depthwise calls of HBONet and MobileNetV2 1.0@224;
-# 8k and 128k are 14% and 26% slower.
+# the accumulator and its multiply scratch stay in a typical L2 cache; the
+# block's phase planes are about s*s times as large. With the sweeps
+# unbuffered, blocks of 16k-64k elements time within 2% of each other over
+# the batch-1 depthwise calls of HBONet and MobileNetV2 1.0@224; 8k and
+# 128k are 14% and 26% slower.
 _DW_BLOCK = 32768
 
 
 def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
     """Depthwise convolution via shift-and-add; w has shape (c, kh, kw).
+    Returns a C-contiguous NCHW array.
 
-    Each live tap is one multiply into a scratch buffer and one add into an
-    accumulator, over the input's stride x stride phase planes
-    (``_phase_planes``); only the sweep's shape depends on the batch:
-
-    - n == 1: the flat layout (``_depthwise_flat``). A tap is one contiguous
-      run over a whole channel of a phase plane, oh*wq elements long.
-    - n > 1: the row layout (``_depthwise_rows``). A tap is one run of
-      ow*n elements per output row, with the batch innermost; the flat
-      layout's wq - ow spare columns would cost more than the runs gain.
-
-    In both, every output element adds the same live taps
-    (``_depthwise_geometry``) from +0 in i-major order, one multiply then
-    one add each, as a plain NCHW shift-and-add over all kh*kw taps does,
-    so both layouts agree with it, and with each other, bitwise. Returns a
-    C-contiguous NCHW array.
+    A single image takes the flat layout (``_depthwise_flat``), a batch the
+    row layout (``_depthwise_rows``), where runs of ow*n elements gain more
+    than the flat layout's wq - ow spare columns would cost. Both add each
+    output element's live taps (``_depthwise_geometry``) from +0 in i-major
+    order, one multiply then one add each, as a plain NCHW shift-and-add
+    over all kh*kw taps does, so both agree with it, and with each other,
+    bitwise.
     """
     n, c, h, wd = x.shape
     geo = _depthwise_geometry(w.shape[1], w.shape[2], stride, pad, h, wd)
@@ -281,16 +277,19 @@ def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.nda
     return kernel(x, w, geo)
 
 
-def _phase_planes(x: np.ndarray, geo: _Geometry, spare_rows: int = 0) -> np.ndarray:
+def _phase_planes(x: np.ndarray, geo: _Geometry,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The window of ``geo`` over the zero-padded NCHW ``x`` as s x s phase
     planes of shape (s, s, c, hq, wq, n), batch innermost: window pixel
     (r, q), counted from the window's corner, sits in plane (r % s, q % s)
-    at (r // s, q // s), plus ``spare_rows`` zero rows. Every tap reads the
-    values it would read from the whole padded input. At s == 1 this is
-    the padded (c, h, w, n) array cut to the window."""
+    at (r // s, q // s). Every tap reads the values it would read from the
+    whole padded input. At s == 1 this is the padded (c, h, w, n) array cut
+    to the window. With ``out``, an (s, s, c, hq + spare, wq, n) array that
+    is zero wherever no window pixel lands (fresh zeros, or planes an earlier
+    call for the same ``geo`` wrote), the planes are written into it."""
     n, c = x.shape[:2]
     s = geo.s
-    planes = np.zeros((s, s, c, geo.hq + spare_rows, geo.wq, n))
+    planes = np.zeros((s, s, c, geo.hq, geo.wq, n)) if out is None else out
     for a, b, y0, x0, m0, q0 in geo.copies:
         src = x[:, :, y0:geo.hc:s, x0:geo.wc:s].transpose(1, 2, 3, 0)
         planes[a, b, :, m0:m0 + src.shape[1], q0:q0 + src.shape[2]] = src
@@ -342,25 +341,28 @@ def _depthwise_flat(x, w, geo):
     (r * wq + q) * n, oh*wq*n long, over a full-width (oh, wq) grid. The
     wq - ow columns past ow wrap into the next row and are dropped by the
     final NCHW copy; the spare row absorbs the last tap's overrun. Channels
-    are swept in blocks of about ``_DW_BLOCK`` accumulator elements."""
+    are swept in blocks of about ``_DW_BLOCK`` accumulator elements, each
+    block's planes built into one reused buffer just before its sweep."""
     n, c = x.shape[:2]
-    oh, ow, wq = geo.oh, geo.ow, geo.wq
-    planes = _phase_planes(x, geo, spare_rows=1)
-    flat = planes.reshape(geo.s, geo.s, c, -1)
+    s, oh, ow, wq = geo.s, geo.oh, geo.ow, geo.wq
     span = oh * wq * n
-    block = max(1, _DW_BLOCK // span)
+    block = min(c, max(1, _DW_BLOCK // span))
     out = np.empty((n, c, oh, ow))
-    acc = np.empty((min(block, c), span))
+    # every block writes the same window pixels, so the rest stays zero
+    planes = np.zeros((s, s, block, geo.hq + 1, wq, n))
+    acc = np.empty((block, span))
     tmp = np.empty_like(acc)
     with _sweep(span):
         for c0 in range(0, c, block):
             c1 = min(c0 + block, c)
+            flat = _phase_planes(x[:, c0:c1], geo, planes[:, :, :c1 - c0]) \
+                .reshape(s, s, c1 - c0, -1)
             acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
             acc_b.fill(0.0)
             for i, j, a, b, r, q in geo.taps:
                 off = (r * wq + q) * n
                 np.multiply(w[c0:c1, i, j, None],
-                            flat[a, b, c0:c1, off:off + span], out=tmp_b)
+                            flat[a, b, :, off:off + span], out=tmp_b)
                 acc_b += tmp_b
             out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
                 .transpose(3, 0, 1, 2)

@@ -1,7 +1,9 @@
 """Tape recording, backward sweep, per-op gradient laws, and the
 finite-difference verifier."""
+import gc
 import importlib.util
 import inspect
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +158,22 @@ class TestLiveness:
             held = [cell.cell_contents for cell in node.vjp.__closure__]
             assert not any(a is tape.outputs[node.parents[0]] or a is tape.outputs[node]
                            for a in held)
+
+    @pytest.mark.parametrize("run_backward", [False, True])
+    def test_dropped_tape_is_freed_without_the_cycle_collector(self, run_backward):
+        """No node points back at its tape, so a dropped recording tape,
+        with its nodes, VJP closures and gradients, is freed with its last
+        reference rather than at the cyclic collector's next pass."""
+        gc.disable()
+        try:
+            tape, loss = self._hbo_block_tape(training=True)
+            if run_backward:
+                backward(tape, loss)
+            dropped = weakref.ref(tape)
+            del tape, loss
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_second_backward_raises_and_keeps_leaf_grads(self):
         tape = Tape()
@@ -552,7 +570,7 @@ class TestFiniteDiffCheck:
     def test_taped_mode_derives_analytic(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(1, 2, 3, 3))
-        err = finite_diff_check(lambda xn: xn.tape.sum_all(xn.tape.relu6(xn)),
+        err = finite_diff_check(lambda t, xn: t.sum_all(t.relu6(xn)),
                                 np.abs(x) + 0.5, step=1e-6)
         assert err < 1e-8
 
@@ -560,7 +578,7 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1, 2, 4, 4))
         err = finite_diff_check(
-            lambda xn: xn.tape.sum_all(xn.tape.bilinear_upsample(xn, 2)),
+            lambda t, xn: t.sum_all(t.bilinear_upsample(xn, 2)),
             x, step=1e-6)
         assert err < 1e-7
 
@@ -571,9 +589,8 @@ class TestFiniteDiffCheck:
         beta = rng.normal(size=2)
         weights = rng.normal(size=(4, 2, 3, 3))
 
-        def f(xn):
+        def f(t, xn):
             p = BatchNormParams(gamma.copy(), beta.copy())
-            t = xn.tape
             out = t.batchnorm(xn, t.leaf(gamma), t.leaf(beta), p, training=True)
             return t.weighted_sum(out, weights)
 
@@ -591,8 +608,8 @@ class TestFiniteDiffCheck:
         def loss(t, xn, wn):
             return t.weighted_sum(t.conv2d(xn, wn, stride, pad), weights)
 
-        assert finite_diff_check(lambda xn: loss(xn.tape, xn, xn.tape.leaf(w)), x) < 1e-7
-        assert finite_diff_check(lambda wn: loss(wn.tape, wn.tape.leaf(x), wn), w) < 1e-7
+        assert finite_diff_check(lambda t, xn: loss(t, xn, t.leaf(w)), x) < 1e-7
+        assert finite_diff_check(lambda t, wn: loss(t, t.leaf(x), wn), w) < 1e-7
 
     def test_coordinate_sampling_is_seeded(self):
         rng = np.random.default_rng(10)

@@ -168,6 +168,11 @@ class TestBadInput:
         ["analyze", "--spec", "{fractional_n}"],
         ["analyze", "--spec", "{no_pool}"],
         ["infer", "--spec", "{no_pool}"],
+        ["analyze", "--csv", "{missing}/ledger.csv"],
+        ["analyze", "--json", "{missing}/ledger.json"],
+        ["analyze", "--csv", "{folder}"],
+        ["train-toy", "--epochs", "1", "--samples", "64",
+         "--log-csv", "{missing}/log.csv"],
     ])
     def test_exits_two_with_one_error_line(self, argv, tmp_path, capsys):
         not_json = tmp_path / "not.json"
@@ -185,8 +190,8 @@ class TestBadInput:
             tables[key] = tmp_path / f"{key}.json"
             tables[key].write_text(json.dumps({"format_version": 1,
                                                "stages": stages}))
-        argv = [a.format(missing=tmp_path / "missing.json", not_json=not_json,
-                         json_list=json_list, **tables)
+        argv = [a.format(missing=tmp_path / "missing.json", folder=tmp_path,
+                         not_json=not_json, json_list=json_list, **tables)
                 for a in argv]
         rc = main(argv)
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Optimized neural ops: hand-computed cases, oracle equivalence, and
 algebraic laws."""
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -115,6 +116,8 @@ class TestDepthwiseBitwise:
     # many channel blocks of the flat layout, the last one ragged
     @example(n=1, c=37, h=112, w=112, k=5, stride=1, seed=3)
     @example(n=1, c=37, h=112, w=112, k=5, stride=2, seed=4)
+    # oh*wq > _DW_BLOCK: each flat block holds one channel
+    @example(n=1, c=3, h=190, w=190, k=3, stride=1, seed=5)
     def test_forward_dx_dw_equal_reference(self, n, c, h, w, k, stride, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, c, h, w))
@@ -137,6 +140,23 @@ class TestDepthwiseBitwise:
         assert np.array_equal(dw, want_dw)
         rows, cols, *_ = zip(*geo.taps)
         assert dw[:, rows, cols].tobytes() == want_dw[:, rows, cols].tobytes()
+
+    def test_flat_layout_holds_one_block_of_planes(self):
+        """A batch-1 call builds each channel block's phase planes just
+        before its sweep, into one block-sized buffer. On MobileNetV2's
+        widest stride-2 depthwise input it holds its output plus 1.5 MB;
+        it held 10.2 MB more while it copied the whole input into phase
+        planes up front."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(1, 96, 112, 112))
+        w = rng.normal(size=(96, 3, 3))
+        tracemalloc.start()
+        try:
+            out = ops._depthwise_nd(x, w, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 3 * 2**20
 
     # n = 3 takes the row layout, n = 1 the flat one
     GROUPED = pytest.mark.parametrize("kh,kw,stride,pad,n", [

@@ -149,7 +149,7 @@ class TestLabelSmoothCe:
         logits = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
         err = finite_diff_check(
-            lambda zn: zn.tape.label_smooth_ce(zn, labels, 0.1),
+            lambda t, zn: t.label_smooth_ce(zn, labels, 0.1),
             logits, step=1e-6)
         assert err < 1e-6
 
