@@ -78,8 +78,15 @@ class _Released(Node):
 # check; ShapeTape returns its result.
 # ---------------------------------------------------------------------------
 
+# a stride, pad, factor, kernel or channel count must be one of these: a
+# float one passes the range checks and fails deep in a numpy kernel
+_INT = (int, np.integer)
+
+
 def _conv2d_shape(x, w, stride=1, pad=0):
     """Dense weights (o, c, kh, kw) or depthwise weights (c, kh, kw)."""
+    if not (isinstance(stride, _INT) and isinstance(pad, _INT)):
+        raise ValueError(f"stride and pad must be integers, got {stride!r}, {pad!r}")
     if stride < 1 or pad < 0:
         raise ValueError(f"need stride >= 1 and pad >= 0, got stride {stride}, pad {pad}")
     (n, c, h, wd), (kh, kw) = x, w[-2:]
@@ -107,6 +114,8 @@ def _batchnorm_shape(x, gamma, beta, p, training=False):
 
 
 def _upsample_shape(x, factor):
+    if not isinstance(factor, _INT):
+        raise ValueError(f"factor must be an integer, got {factor!r}")
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     n, c, h, w = x
@@ -114,6 +123,8 @@ def _upsample_shape(x, factor):
 
 
 def _avgpool_shape(x, kernel, stride):
+    if not (isinstance(kernel, _INT) and isinstance(stride, _INT)):
+        raise ValueError(f"kernel and stride must be integers, got {kernel!r}, {stride!r}")
     if kernel < 1 or stride < 1:
         raise ValueError("kernel and stride must be >= 1")
     n, c, h, w = x
@@ -130,6 +141,8 @@ def _concat_shape(a, b):
 
 
 def _take_first_shape(x, m):
+    if not isinstance(m, _INT):
+        raise ValueError(f"channel count must be an integer, got {m!r}")
     n, c, h, w = x
     if not 1 <= m <= c:
         raise DimensionError(f"cannot take {m} of {c} channels")

@@ -33,7 +33,7 @@ from .train import ToyConfig, train_toy, write_log_csv
 
 def _writable(path: str) -> bool:
     folder = os.path.dirname(path) or "."
-    return (os.path.isdir(folder) and not os.path.isdir(path)
+    return (path != "" and os.path.isdir(folder) and not os.path.isdir(path)
             and os.access(path if os.path.exists(path) else folder, os.W_OK))
 
 
@@ -48,9 +48,7 @@ _FLAG_RULES = (
     ("expect_mflops", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("tol", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     ("step", lambda v: 0 < v < math.inf, "a positive finite number"),
-    ("lr", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("threshold", lambda v: 0 < v < math.inf, "a positive finite number"),
-    ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
     ("csv", _writable, "a writable file path"),
     ("json", _writable, "a writable file path"),
     ("log_csv", _writable, "a writable file path"),
@@ -62,7 +60,7 @@ def _check_flags(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             raise ConfigError(f"--{dest.replace('_', '-')} must be "
-                              f"{requirement}, got {value}")
+                              f"{requirement}, got {value!r}")
 
 
 def _network_spec(args) -> NetworkSpec:

@@ -16,13 +16,12 @@ zero-padded input split into stride x stride phase planes
 where a tap at any stride reads one (c, oh, ow, n) window. The planes hold
 only the rows and columns that the live taps read (``_depthwise_geometry``):
 on the 1x1 and 2x2 maps of a small network most of the padded input is
-padding that no tap reads. A single image (n == 1) is swept as one
+padding that no tap reads. The forward sweeps every batch size as one
 contiguous slice per channel over a full-width output grid, one channel
 block at a time, each block's planes built just before its sweep: a call
 holds its input and output plus one block's planes, accumulator and
-scratch. A batch is swept as one run of ow*n elements per output row. The
-VJP holds g as (c, oh, ow, n) and scatters dx into phase planes that are
-interleaved into NCHW once at the end. Each output and dx element adds the
+scratch. The VJP holds g as (c, oh, ow, n) and scatters dx into phase
+planes that are interleaved into NCHW once at the end. Each output and dx element adds the
 same taps in the same order as a plain NCHW shift-and-add, so the layouts
 give its values bit for bit.
 
@@ -255,7 +254,10 @@ def _depthwise_geometry(kh: int, kw: int, s: int, pad: int,
 # block's phase planes are about s*s times as large. With the sweeps
 # unbuffered, blocks of 16k-64k elements time within 2% of each other over
 # the batch-1 depthwise calls of HBONet and MobileNetV2 1.0@224; 8k and
-# 128k are 14% and 26% slower.
+# 128k are 14% and 26% slower. Tuned at batch 1 only: at batch 32 a block
+# holds a few channels, and the toy training step's depthwise calls take
+# 6-10% longer than one sweep per tap over all channels' (c, oh, ow, n)
+# rows did, under 1% of the step.
 _DW_BLOCK = 32768
 
 
@@ -263,18 +265,44 @@ def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.nda
     """Depthwise convolution via shift-and-add; w has shape (c, kh, kw).
     Returns a C-contiguous NCHW array.
 
-    A single image takes the flat layout (``_depthwise_flat``), a batch the
-    row layout (``_depthwise_rows``), where runs of ow*n elements gain more
-    than the flat layout's wq - ow spare columns would cost. Both add each
-    output element's live taps (``_depthwise_geometry``) from +0 in i-major
-    order, one multiply then one add each, as a plain NCHW shift-and-add
-    over all kh*kw taps does, so both agree with it, and with each other,
-    bitwise.
+    The phase planes (``_phase_planes``, one spare row) are flattened per
+    channel, so the window that tap (i, j, a, b, r, q) reads (``_tap``) is
+    one contiguous slice of plane (a, b) at flat offset (r * wq + q) * n,
+    oh*wq*n long, over a full-width (oh, wq) grid; with the batch innermost
+    this holds at every batch size. The wq - ow columns past ow wrap into
+    the next row and are dropped by the final NCHW copy; the spare row
+    absorbs the last tap's overrun. Channels are swept in blocks of about
+    ``_DW_BLOCK`` accumulator elements, each block's planes built into one
+    reused buffer just before its sweep. Each output element adds its live
+    taps (``_depthwise_geometry``) from +0 in i-major order, one multiply
+    then one add each, as a plain NCHW shift-and-add over all kh*kw taps
+    does, so the two agree bitwise.
     """
     n, c, h, wd = x.shape
     geo = _depthwise_geometry(w.shape[1], w.shape[2], stride, pad, h, wd)
-    kernel = _depthwise_flat if n == 1 else _depthwise_rows
-    return kernel(x, w, geo)
+    s, oh, ow, wq = geo.s, geo.oh, geo.ow, geo.wq
+    span = oh * wq * n
+    block = min(c, max(1, _DW_BLOCK // span))
+    out = np.empty((n, c, oh, ow))
+    # every block writes the same window pixels, so the rest stays zero
+    planes = np.zeros((s, s, block, geo.hq + 1, wq, n))
+    acc = np.empty((block, span))
+    tmp = np.empty_like(acc)
+    with _sweep(span):
+        for c0 in range(0, c, block):
+            c1 = min(c0 + block, c)
+            flat = _phase_planes(x[:, c0:c1], geo, planes[:, :, :c1 - c0]) \
+                .reshape(s, s, c1 - c0, -1)
+            acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
+            acc_b.fill(0.0)
+            for i, j, a, b, r, q in geo.taps:
+                off = (r * wq + q) * n
+                np.multiply(w[c0:c1, i, j, None],
+                            flat[a, b, :, off:off + span], out=tmp_b)
+                acc_b += tmp_b
+            out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
+                .transpose(3, 0, 1, 2)
+    return out
 
 
 def _phase_planes(x: np.ndarray, geo: _Geometry,
@@ -315,58 +343,6 @@ def _tap(planes: np.ndarray, tap: tuple, oh: int, ow: int) -> np.ndarray:
     ``_Geometry.taps``, reads."""
     _, _, a, b, r, q = tap
     return planes[a, b, :, r:r + oh, q:q + ow]
-
-
-def _depthwise_rows(x, w, geo):
-    """Row layout: each tap is one sweep over the (c, oh, ow, n) view of the
-    phase planes that it reads (``_tap``), into a (c, oh, ow, n)
-    accumulator; rows are ow*n elements at every stride."""
-    n, oh, ow = x.shape[0], geo.oh, geo.ow
-    planes = _phase_planes(x, geo)
-    out = np.zeros((w.shape[0], oh, ow, n))
-    tmp = np.empty_like(out)
-    with _sweep(ow * n):
-        for tap in geo.taps:
-            np.multiply(w[:, tap[0], tap[1], None, None, None],
-                        _tap(planes, tap, oh, ow), out=tmp)
-            out += tmp
-    del planes, tmp  # freed before the NCHW copy to keep peak memory down
-    return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
-
-
-def _depthwise_flat(x, w, geo):
-    """Flat layout: the phase planes (``_phase_planes``, one spare row)
-    flattened per channel, so the window that tap (i, j, a, b, r, q) reads
-    (``_tap``) is one contiguous slice of plane (a, b) at flat offset
-    (r * wq + q) * n, oh*wq*n long, over a full-width (oh, wq) grid. The
-    wq - ow columns past ow wrap into the next row and are dropped by the
-    final NCHW copy; the spare row absorbs the last tap's overrun. Channels
-    are swept in blocks of about ``_DW_BLOCK`` accumulator elements, each
-    block's planes built into one reused buffer just before its sweep."""
-    n, c = x.shape[:2]
-    s, oh, ow, wq = geo.s, geo.oh, geo.ow, geo.wq
-    span = oh * wq * n
-    block = min(c, max(1, _DW_BLOCK // span))
-    out = np.empty((n, c, oh, ow))
-    # every block writes the same window pixels, so the rest stays zero
-    planes = np.zeros((s, s, block, geo.hq + 1, wq, n))
-    acc = np.empty((block, span))
-    tmp = np.empty_like(acc)
-    with _sweep(span):
-        for c0 in range(0, c, block):
-            c1 = min(c0 + block, c)
-            flat = _phase_planes(x[:, c0:c1], geo, planes[:, :, :c1 - c0]) \
-                .reshape(s, s, c1 - c0, -1)
-            acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
-            acc_b.fill(0.0)
-            for i, j, a, b, r, q in geo.taps:
-                off = (r * wq + q) * n
-                np.multiply(w[c0:c1, i, j, None],
-                            flat[a, b, :, off:off + span], out=tmp_b)
-                acc_b += tmp_b
-            out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
-                .transpose(3, 0, 1, 2)
-    return out
 
 
 # the longest run numpy's pairwise sum adds in 8 lanes without splitting it

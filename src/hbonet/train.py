@@ -139,6 +139,17 @@ class LogRow:
     accuracy: float
 
 
+# (field, test, requirement): ``train_toy`` checks each before any step
+_CONFIG_RULES = (
+    ("epochs", lambda v: v >= 1, ">= 1"),
+    ("num_samples", lambda v: v >= 1, ">= 1"),
+    ("batch_size", lambda v: v >= 1, ">= 1"),
+    ("base_lr", lambda v: 0 < v < math.inf, "a positive finite number"),
+    ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("noise", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+)
+
+
 def train_toy(net_spec: NetworkSpec | None = None,
               config: ToyConfig | None = None,
               epochs: int | None = None,
@@ -154,10 +165,10 @@ def train_toy(net_spec: NetworkSpec | None = None,
     pass used for each update step.
     """
     config = config or ToyConfig()
-    for name in ("epochs", "num_samples", "batch_size"):
-        if getattr(config, name) < 1:
-            raise ToyConfigError(
-                f"ToyConfig.{name} must be >= 1, got {getattr(config, name)}")
+    for name, ok, requirement in _CONFIG_RULES:
+        if not ok(getattr(config, name)):
+            raise ToyConfigError(f"ToyConfig.{name} must be {requirement}, "
+                                 f"got {getattr(config, name)}")
     if epochs is None:
         epochs = config.epochs
     elif not 1 <= epochs <= config.epochs:

@@ -173,6 +173,9 @@ class TestBadInput:
         ["analyze", "--csv", "{folder}"],
         ["train-toy", "--epochs", "1", "--samples", "64",
          "--log-csv", "{missing}/log.csv"],
+        ["analyze", "--csv", ""],
+        ["analyze", "--json", ""],
+        ["train-toy", "--epochs", "1", "--samples", "64", "--log-csv", ""],
     ])
     def test_exits_two_with_one_error_line(self, argv, tmp_path, capsys):
         not_json = tmp_path / "not.json"

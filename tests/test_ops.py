@@ -100,10 +100,10 @@ def _depthwise_vjp_reference(x, w, g, stride, pad=None):
 
 
 class TestDepthwiseBitwise:
-    """The flat (n == 1) and row (n > 1) depthwise layouts against the NCHW
-    reference: forward and dx byte for byte, dw byte for byte on the live
-    taps and by value on all (a tap that sees only padding is skipped and
-    is exactly 0 here)."""
+    """The depthwise forward, at batch 1 and above, and its VJP against the
+    NCHW reference: forward and dx byte for byte, dw byte for byte on the
+    live taps and by value on all (a tap that sees only padding is skipped
+    and is exactly 0 here)."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.sampled_from([1, 3, 32]), c=st.integers(1, 4),
@@ -113,10 +113,10 @@ class TestDepthwiseBitwise:
     @example(n=32, c=3, h=1, w=1, k=3, stride=1, seed=0)
     @example(n=3, c=2, h=2, w=3, k=5, stride=2, seed=1)
     @example(n=1, c=4, h=16, w=16, k=5, stride=2, seed=2)
-    # many channel blocks of the flat layout, the last one ragged
+    # many channel blocks, the last one ragged
     @example(n=1, c=37, h=112, w=112, k=5, stride=1, seed=3)
     @example(n=1, c=37, h=112, w=112, k=5, stride=2, seed=4)
-    # oh*wq > _DW_BLOCK: each flat block holds one channel
+    # oh*wq > _DW_BLOCK: each block holds one channel
     @example(n=1, c=3, h=190, w=190, k=3, stride=1, seed=5)
     def test_forward_dx_dw_equal_reference(self, n, c, h, w, k, stride, seed):
         rng = np.random.default_rng(seed)
@@ -129,9 +129,6 @@ class TestDepthwiseBitwise:
         assert y.value.shape == want.shape
         assert y.value.tobytes() == want.tobytes()
         geo = ops._depthwise_geometry(k, k, stride, pad, h, w)
-        for layout in (ops._depthwise_flat, ops._depthwise_rows):
-            got = layout(x, wt, geo)
-            assert got.tobytes() == want.tobytes()
         g = rng.normal(size=want.shape)
         dx, dw = y.vjp(g)
         want_dx, want_dw = _depthwise_vjp_reference(x, wt, g, stride)
@@ -141,24 +138,29 @@ class TestDepthwiseBitwise:
         rows, cols, *_ = zip(*geo.taps)
         assert dw[:, rows, cols].tobytes() == want_dw[:, rows, cols].tobytes()
 
-    def test_flat_layout_holds_one_block_of_planes(self):
-        """A batch-1 call builds each channel block's phase planes just
-        before its sweep, into one block-sized buffer. On MobileNetV2's
-        widest stride-2 depthwise input it holds its output plus 1.5 MB;
-        it held 10.2 MB more while it copied the whole input into phase
-        planes up front."""
+    @pytest.mark.parametrize("shape,stride,slack_mb", [
+        pytest.param((1, 96, 112, 112), 2, 3, id="n1"),
+        pytest.param((32, 32, 16, 16), 1, 1.5, id="n32"),
+    ])
+    def test_flat_layout_holds_one_block_of_planes(self, shape, stride, slack_mb):
+        """A call builds each channel block's phase planes just before its
+        sweep, into one block-sized buffer. On MobileNetV2's widest stride-2
+        depthwise input it holds its output plus 1.5 MB; it held 10.2 MB
+        more while it copied the whole input into phase planes up front. On a
+        (32, 32, 16, 16) input it holds its output plus 0.7 MB; it held
+        4.5 MB more while a batch swept every channel's planes at once."""
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 96, 112, 112))
-        w = rng.normal(size=(96, 3, 3))
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(shape[1], 3, 3))
         tracemalloc.start()
         try:
-            out = ops._depthwise_nd(x, w, 2, 1)
+            out = ops._depthwise_nd(x, w, stride, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.nbytes + 3 * 2**20
+        assert peak < out.nbytes + slack_mb * 2**20
 
-    # n = 3 takes the row layout, n = 1 the flat one
+    # a batch and a single image
     GROUPED = pytest.mark.parametrize("kh,kw,stride,pad,n", [
         pytest.param(*geom, n, id="-".join(map(str, geom)) + suffix)
         for n, suffix in ((3, ""), (1, "-n1"))
@@ -168,8 +170,8 @@ class TestDepthwiseBitwise:
 
     @GROUPED
     def test_grouped_conv_path_equals_reference(self, kh, kw, stride, pad, n):
-        """conv2d with groups == channels reaches the same kernels, in both
-        layouts, with any kernel shape and padding."""
+        """conv2d with groups == channels reaches the same kernel, at any
+        batch size, with any kernel shape and padding."""
         rng = np.random.default_rng(kh * 100 + kw * 10 + stride + pad)
         x = rng.normal(size=(n, 4, 7, 6))
         w = rng.normal(size=(4, 1, kh, kw))
@@ -393,6 +395,35 @@ class TestDenseConv2d:
         with pytest.raises(UnsupportedKernelError, match="groups"):
             ops.conv2d(x, w, stride=1, pad=1)
         assert conv2d_oracle(x, w, stride=1, pad=1).shape == (1, kernel[0], 6, 6)
+
+
+_GEOMETRY_CALLS = {
+    "depthwise-stride": lambda x, v: ops.depthwise_conv(
+        x, ConvKernel(np.ones((2, 1, 3, 3)), groups=2), stride=v),
+    "conv2d-stride": lambda x, v: ops.conv2d(x, ConvKernel(np.ones((3, 2, 3, 3))), v, 1),
+    "conv2d-pad": lambda x, v: ops.conv2d(x, ConvKernel(np.ones((3, 2, 3, 3))), 1, v),
+    "upsample-factor": lambda x, v: ops.bilinear_upsample(x, v),
+    "avgpool-kernel": lambda x, v: ops.avgpool(x, v, 2),
+    "take-first": lambda x, v: ops.take_first_channels(x, v),
+}
+
+
+@pytest.mark.parametrize("op,value", [
+    ("depthwise-stride", 2.0), ("conv2d-stride", 1.5), ("conv2d-pad", 1.0),
+    ("upsample-factor", 2.0), ("avgpool-kernel", 2.0), ("take-first", 2.0),
+    ("depthwise-stride", np.int64(2)),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_geometry_must_be_integer(op, value):
+    """A float stride, pad, factor, kernel or channel count raises the op's
+    ValueError from its shape rule, not a numpy TypeError from a kernel; a
+    numpy integer is an integer."""
+    x = Tensor(np.arange(32.0).reshape(1, 2, 4, 4))
+    call = _GEOMETRY_CALLS[op]
+    if isinstance(value, np.integer):
+        assert call(x, value).data.tobytes() == call(x, int(value)).data.tobytes()
+    else:
+        with pytest.raises(ValueError, match="integer"):
+            call(x, value)
 
 
 class TestRelu6:

@@ -367,6 +367,12 @@ class TestTruncatedSchedule:
         (None, ToyConfig(epochs=0)),
         (1, ToyConfig(num_samples=0)),
         (1, ToyConfig(batch_size=0)),
+        (1, ToyConfig(base_lr=0.0)),
+        (1, ToyConfig(base_lr=math.nan)),
+        (1, ToyConfig(label_smoothing=1.0)),
+        (1, ToyConfig(label_smoothing=-0.1)),
+        (1, ToyConfig(noise=-1.0)),
+        (1, ToyConfig(noise=math.inf)),
     ])
     def test_out_of_range_rejected_before_any_step(self, monkeypatch,
                                                    epochs, config):
