@@ -84,26 +84,32 @@ _INT = (int, np.integer)
 
 
 def _conv2d_shape(x, w, stride=1, pad=0):
-    """Dense weights (o, c, kh, kw) or depthwise weights (c, kh, kw)."""
+    """Dense weights (o, c, kh, kw)."""
+    if len(w) != 4:
+        raise UnsupportedKernelError(f"conv2d kernel must be (o, c, kh, kw), got {w}")
     if not (isinstance(stride, _INT) and isinstance(pad, _INT)):
         raise ValueError(f"stride and pad must be integers, got {stride!r}, {pad!r}")
     if stride < 1 or pad < 0:
         raise ValueError(f"need stride >= 1 and pad >= 0, got stride {stride}, pad {pad}")
-    (n, c, h, wd), (kh, kw) = x, w[-2:]
-    if c != w[-3]:
-        raise DimensionError(f"input has {c} channels, kernel expects {w[-3]}")
+    (n, c, h, wd), (kh, kw) = x, w[2:]
+    if c != w[1]:
+        raise DimensionError(f"input has {c} channels, kernel expects {w[1]}")
     if kh > h + 2 * pad or kw > wd + 2 * pad:
         raise DimensionError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with pad {pad}")
     return n, w[0], (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
 
 
-def _depthwise_shape(x, w, stride=1):
-    """(c, k, k) weights, k odd, stride 1 or 2, pad (k-1)/2."""
-    if len(w) != 3 or w[1] != w[2] or w[1] % 2 == 0:
-        raise UnsupportedKernelError(f"depthwise kernel must be (c, k, k), k odd, got {w}")
-    if stride not in (1, 2):
-        raise ValueError(f"stride must be 1 or 2, got {stride}")
-    return _conv2d_shape(x, w, stride, (w[1] - 1) // 2)
+def _depthwise_shape(x, w, stride=1, pad=None):
+    """(c, kh, kw) weights; without ``pad``, kh == kw odd, stride 1 or 2
+    and pad (k-1)/2."""
+    if len(w) != 3 or (pad is None and (w[1] != w[2] or w[1] % 2 == 0)):
+        raise UnsupportedKernelError(f"depthwise kernel must be (c, kh, kw), and (c, k, k) "
+                                     f"with k odd unless a pad is given, got {w}")
+    if pad is None:
+        if stride not in (1, 2):
+            raise ValueError(f"stride must be 1 or 2, got {stride}")
+        pad = (w[1] - 1) // 2
+    return _conv2d_shape(x, (w[0], *w), stride, pad)
 
 
 def _batchnorm_shape(x, gamma, beta, p, training=False):
@@ -237,12 +243,10 @@ class Tape:
     # -- taped operations ---------------------------------------------------
 
     def conv2d(self, x: Node, w: Node, stride: int = 1, pad: int = 0) -> Node:
-        """Convolution with zero padding: dense for (o, c, kh, kw) weights (the
-        stem), depthwise for (c, kh, kw) weights of any size and pad."""
+        """Dense convolution with zero padding; ``w`` holds (o, c, kh, kw)
+        weights (the stem). Depthwise weights go to :meth:`depthwise_conv`."""
         _conv2d_shape(x.shape, w.shape, stride, pad)
         xv, wv = x.value, w.value
-        if wv.ndim == 3:
-            return self._depthwise(x, w, stride, pad, "conv2d")
         out = _ops._conv2d_nd(xv, wv, stride, pad)
         kh, kw = wv.shape[2], wv.shape[3]
 
@@ -264,14 +268,16 @@ class Tape:
 
         return self._record(out, (x, w), vjp, "conv2d")
 
-    def depthwise_conv(self, x: Node, w: Node, stride: int = 1) -> Node:
-        """Depthwise conv; ``w`` holds (c, k, k) weights, k odd, pad (k-1)/2."""
-        _depthwise_shape(x.shape, w.shape, stride)
-        return self._depthwise(x, w, stride, (w.shape[1] - 1) // 2, "depthwise_conv")
-
-    def _depthwise(self, x: Node, w: Node, stride: int, pad: int, name: str) -> Node:
+    def depthwise_conv(self, x: Node, w: Node, stride: int = 1,
+                       pad: int | None = None) -> Node:
+        """Depthwise convolution with zero padding; ``w`` holds (c, kh, kw)
+        weights. Without ``pad`` the kernel is k x k, k odd, at stride 1 or 2
+        with pad (k-1)/2, as the blocks use it; with ``pad`` any kernel,
+        stride and pad, as ``ops.conv2d`` with groups == channels takes."""
+        _depthwise_shape(x.shape, w.shape, stride, pad)
         xv, wv = x.value, w.value
         kh, kw = wv.shape[1], wv.shape[2]
+        pad = (kh - 1) // 2 if pad is None else pad
         out = _ops._depthwise_nd(xv, wv, stride, pad)
 
         def vjp(g):
@@ -308,7 +314,7 @@ class Tape:
             del gt, prod, tmp   # freed before the NCHW copy
             return _ops._interleave_planes(planes, geo, h, wd), dw
 
-        return self._record(out, (x, w), vjp, name)
+        return self._record(out, (x, w), vjp, "depthwise_conv")
 
     def pointwise_conv(self, x: Node, w: Node) -> Node:
         """1x1 conv; ``w`` holds a (c_out, c_in) matrix."""

@@ -188,75 +188,49 @@ def mobilenetv2_spec(width: float = 1.0, resolution: int = 224,
 # network units
 # ---------------------------------------------------------------------------
 
-# Each unit's ``layers`` maps the base name of every layer it holds, which is
-# also the ledger row name of that layer's convolution, to the layer's
-# ``LayerParams``, which carries its ``ConvLayerSpec``. The network's
-# parameters are the layers' arrays, named ``base.suffix`` after the tape
-# leaves that take them.
+class Unit:
+    """A stem, projection or head convolution, a block, the global pool or
+    the classifier. ``forward_node(x, tape, training)`` runs the wiring that
+    ``build_network`` hands the unit, ``wiring(unit, x, tape, training)``;
+    ``cfg`` is a block's :class:`BlockConfig`, else None. ``layers`` maps the
+    base name of every layer the unit holds, which is also the ledger row
+    name of that layer's convolution, to the layer's ``LayerParams``, which
+    carries its ``ConvLayerSpec``. The network's parameters are the layers'
+    arrays, named ``base.suffix`` after the tape leaves that take them."""
 
-class ConvUnit:
-    """A standalone convolution (stem, projections, head)."""
-
-    def __init__(self, name: str, stage: str, spec: ConvLayerSpec,
-                 rng: np.random.Generator | None):
+    def __init__(self, name: str, stage: str, layers: dict, wiring,
+                 cfg: BlockConfig | None = None):
         self.name = name
         self.stage = stage
-        self.layers = {name: _init_layer(spec, rng)}
-
-    def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        return _apply_layer(tape, x, self.layers[self.name], training)
-
-
-class BlockUnit:
-    def __init__(self, name: str, stage: str, cfg: BlockConfig,
-                 rng: np.random.Generator | None):
-        self.name = name
-        self.stage = stage
+        self.layers = layers
         self.cfg = cfg
-        self.layers = {f"{name}.{s.name}": _init_layer(s, rng)
-                       for s in block_layer_table(cfg)}
+        self._wiring = wiring
 
     def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        return block_forward_node(x, self.cfg, self.layers, tape, training,
-                                  prefix=f"{self.name}.")
+        return self._wiring(self, x, tape, training)
 
 
-class PoolUnit:
+def _conv_wiring(unit: Unit, x: Node, tape: Tape, training: bool) -> Node:
+    return _apply_layer(tape, x, unit.layers[unit.name], training)
+
+
+def _block_wiring(unit: Unit, x: Node, tape: Tape, training: bool) -> Node:
+    return block_forward_node(x, unit.cfg, unit.layers, tape, training,
+                              prefix=f"{unit.name}.")
+
+
+def _pool_wiring(unit: Unit, x: Node, tape: Tape, training: bool) -> Node:
     """Global average pool (kernel equals the incoming spatial size)."""
-
-    def __init__(self, name: str, stage: str):
-        self.name = name
-        self.stage = stage
-        self.layers = {}
-
-    def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        k = x.value.shape[2]
-        return tape.avgpool(x, k, k)
+    k = x.value.shape[2]
+    return tape.avgpool(x, k, k)
 
 
-class ClassifierUnit:
-    """1x1 convolution onto the class logits, with a zero-initialized bias."""
-
-    def __init__(self, name: str, stage: str, c_in: int, num_classes: int,
-                 rng: np.random.Generator | None):
-        self.name = name
-        self.stage = stage
-        spec = ConvLayerSpec(name, "pointwise", c_in, num_classes,
-                             1, 1, False, False)
-        if rng is None:
-            weight = np.zeros((num_classes, c_in))
-        else:
-            # kaiming-style 2/fan_out blows up here (fan_out is only the
-            # class count); a small normal keeps initial logits near zero
-            weight = rng.normal(0.0, 0.01, size=(num_classes, c_in))
-        self.layers = {name: LayerParams(spec, weight, None,
-                                         np.zeros(num_classes))}
-
-    def forward_node(self, x: Node, tape: Tape, training: bool) -> Node:
-        lp = self.layers[self.name]
-        y = tape.flatten_spatial(_apply_layer(tape, x, lp, training))
-        bias = tape.leaf(lp.bias, f"{self.name}.bias")
-        return tape.release(tape.add_bias(y, bias), y)
+def _classifier_wiring(unit: Unit, x: Node, tape: Tape, training: bool) -> Node:
+    """1x1 convolution onto the class logits, plus the bias."""
+    lp = unit.layers[unit.name]
+    y = tape.flatten_spatial(_apply_layer(tape, x, lp, training))
+    bias = tape.leaf(lp.bias, f"{unit.name}.bias")
+    return tape.release(tape.add_bias(y, bias), y)
 
 
 class Network:
@@ -350,8 +324,9 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
     tape = ShapeTape()
     x = tape.leaf(Shape((1, 3, res, res)), "input")
 
-    def append(unit):
+    def append(name, layers, wiring, cfg=None):
         nonlocal x
+        unit = Unit(name, stage_name, layers, wiring, cfg)
         hw = x.value.shape[2:]
         first = len(tape.rows)
         x = unit.forward_node(x, tape, training=False)
@@ -369,15 +344,15 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
                               f"follow the classifier")
         c = x.value.shape[1]
         try:    # a unit's config error or its walk's shape error names the stage
-            if st.op == "conv3x3":
+            if st.op in ("conv3x3", "conv1x1", "conv1x1_linear"):
                 cout = _scale_channels(st.c, spec, st.width_exempt)
-                conv = ConvLayerSpec(stage_name, "dense", c, cout, 3, st.s, True, True)
-                append(ConvUnit(stage_name, stage_name, conv, rng))
-            elif st.op in ("conv1x1", "conv1x1_linear"):
-                cout = _scale_channels(st.c, spec, st.width_exempt)
-                act = st.op == "conv1x1"
-                conv = ConvLayerSpec(stage_name, "pointwise", c, cout, 1, 1, True, act)
-                append(ConvUnit(stage_name, stage_name, conv, rng))
+                if st.op == "conv3x3":
+                    conv = ConvLayerSpec(stage_name, "dense", c, cout, 3, st.s,
+                                         True, True)
+                else:
+                    conv = ConvLayerSpec(stage_name, "pointwise", c, cout, 1, 1,
+                                         True, st.op == "conv1x1")
+                append(stage_name, {stage_name: _init_layer(conv, rng)}, _conv_wiring)
             elif st.op in ("hbo", "inverted_residual"):
                 cout = _scale_channels(st.c, spec, st.width_exempt)
                 for r in range(st.n):
@@ -392,12 +367,20 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
                     else:
                         cfg = BlockConfig(cin, cout, st.t, stride,
                                           BlockKind.INVERTED_RESIDUAL)
-                    append(BlockUnit(f"{stage_name}_{r + 1}", stage_name, cfg, rng))
+                    name = f"{stage_name}_{r + 1}"
+                    append(name, {f"{name}.{s.name}": _init_layer(s, rng)
+                                  for s in block_layer_table(cfg)}, _block_wiring, cfg)
             elif st.op == "avgpool":
-                append(PoolUnit(stage_name, stage_name))
+                append(stage_name, {}, _pool_wiring)
             elif st.op == "classifier":     # needs the global pool's 1x1 map
-                append(ClassifierUnit(stage_name, stage_name, c,
-                                      spec.num_classes, rng))
+                k = spec.num_classes
+                conv = ConvLayerSpec(stage_name, "pointwise", c, k, 1, 1, False, False)
+                # kaiming-style 2/fan_out blows up here (fan_out is only the
+                # class count); a small normal keeps initial logits near zero
+                weight = (np.zeros((k, c)) if rng is None
+                          else rng.normal(0.0, 0.01, size=(k, c)))
+                layer = LayerParams(conv, weight, None, np.zeros(k))
+                append(stage_name, {stage_name: layer}, _classifier_wiring)
         except (ConfigError, DimensionError) as exc:
             raise ConfigError(f"stage {i} ({stage_name}): {exc}") from exc
     rows = tuple((name, macs, tape.params.get(name, 0), out, hw)

@@ -113,10 +113,15 @@ class BatchNormParams:
                                     self.running_var)}
         if shapes != {(c,)}:
             raise DimensionError(f"batchnorm parameter vectors disagree: {shapes}")
-        if np.any(self.running_var < 0):
-            raise ValueError("running_var must be >= 0 elementwise")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        # every comparison with NaN is False, so a NaN fails each check
+        if not (np.isfinite(self.running_mean).all()
+                and ((0 <= self.running_var) & (self.running_var < np.inf)).all()):
+            raise ValueError("running_mean must be finite and running_var finite "
+                             "and >= 0, elementwise")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if not 0 <= self.momentum <= 1:
+            raise ValueError(f"momentum must be in [0, 1], got {self.momentum}")
 
     @property
     def channels(self) -> int:
@@ -498,17 +503,19 @@ def _avgpool_nd(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 def conv2d(x: Tensor, w: ConvKernel, stride: int = 1, pad: int = 0) -> Tensor:
     """Dense (groups 1) or depthwise (groups == c_out == channels)
     convolution with zero padding; matches conv2d_oracle, including the
-    errors it raises for a bad geometry. Other grouped kernels raise
+    errors it raises for a bad geometry. Groups 1 runs ``Tape.conv2d``;
+    groups == channels runs ``Tape.depthwise_conv`` with the explicit pad,
+    any kernel shape and stride. Other grouped kernels raise
     UnsupportedKernelError."""
     if x.c != w.c_in:
         raise DimensionError(f"input has {x.c} channels, kernel expects "
                              f"{w.groups}*{w.c_in_per_group}")
-    if w.groups != 1 and (w.groups, w.c_out) != (x.c, x.c):
+    if w.groups == 1:
+        return _autodiff.eager(_autodiff.Tape.conv2d, x, w.data, stride, pad)
+    if (w.groups, w.c_out) != (x.c, x.c):
         raise UnsupportedKernelError(f"conv2d takes groups 1 or groups == c_out == "
                                      f"{x.c}, got groups {w.groups}, c_out {w.c_out}")
-    # depthwise weights enter the tape as (c, kh, kw)
-    weights = w.data if w.groups == 1 else w.data[:, 0]
-    return _autodiff.eager(_autodiff.Tape.conv2d, x, weights, stride, pad)
+    return _autodiff.eager(_autodiff.Tape.depthwise_conv, x, w.data[:, 0], stride, pad)
 
 
 def depthwise_conv(x: Tensor, w: ConvKernel, stride: int = 1) -> Tensor:

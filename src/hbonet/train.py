@@ -147,6 +147,8 @@ _CONFIG_RULES = (
     ("base_lr", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
     ("noise", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    ("momentum", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("weight_decay", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
 )
 
 

@@ -495,6 +495,10 @@ def _error_rows():
         pytest.param(lambda: eager(Tape.flatten_spatial, X),
                      lambda t: t.flatten_spatial(t.leaf(x)),
                      DimensionError, id="flatten-not-1x1"),
+        # depthwise weights belong to depthwise_conv; conv2d is dense only
+        pytest.param(lambda: eager(Tape.conv2d, X, dw(3)[0]),
+                     lambda t: t.conv2d(t.leaf(x), t.leaf(dw(3)[0])),
+                     UnsupportedKernelError, id="conv2d-depthwise-weights"),
     ]
     for name, (w, kernel), stride, error in (
             ("depthwise-channels", dw(3, c=2), 1, DimensionError),
@@ -551,11 +555,21 @@ class TestPerfbenchHooks:
         x = np.ones((2, 4, 8, 8))
         for name, w, args in (("conv2d", np.ones((5, 4, 3, 3)), (2, 1)),
                               ("depthwise_conv", np.ones((4, 5, 5)), (2,)),
+                              ("depthwise_conv", np.ones((4, 3, 2)), (2, 1)),
                               ("pointwise_conv", np.ones((6, 4)), ())):
             getattr(traced, name)(traced.leaf(x), traced.leaf(w), *args)
             getattr(shapes, name)(shapes.leaf(x), shapes.leaf(w, name + ".weight"),
                                   *args)
         assert [s.macs for s in rec.spans] == [2 * row[1] for row in shapes.rows]
+
+    def test_traced_conv2d_rejects_depthwise_weights(self):
+        """A (c, kh, kw) weight given to the traced dense conv raises the
+        shape rule's error before the tracer reads it as (o, c, kh, kw)."""
+        tracing = self._tracing()
+        traced = tracing.TracingTape(tracing.Recorder())
+        x, w = traced.leaf(np.ones((1, 2, 4, 4))), traced.leaf(np.ones((2, 3, 3)))
+        with pytest.raises(UnsupportedKernelError):
+            traced.conv2d(x, w, 1, 1)
 
 
 class TestFiniteDiffCheck:
@@ -598,15 +612,15 @@ class TestFiniteDiffCheck:
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (3, 2)])
     def test_conv2d_with_depthwise_weights(self, stride, pad):
-        """Tape.conv2d on (c, kh, kw) weights, the path of ops.conv2d with
-        groups == channels: any kernel shape, stride and pad."""
+        """Tape.depthwise_conv with an explicit pad, the path of ops.conv2d
+        with groups == channels: any kernel shape, stride and pad."""
         rng = np.random.default_rng(stride)
         x, w = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(3, 5, 2))
         weights = rng.normal(size=(2, 3, *[(d + 2 * pad - k) // stride + 1
                                            for d, k in ((7, 5), (6, 2))]))
 
         def loss(t, xn, wn):
-            return t.weighted_sum(t.conv2d(xn, wn, stride, pad), weights)
+            return t.weighted_sum(t.depthwise_conv(xn, wn, stride, pad), weights)
 
         assert finite_diff_check(lambda t, xn: loss(t, xn, t.leaf(w)), x) < 1e-7
         assert finite_diff_check(lambda t, wn: loss(t, t.leaf(x), wn), w) < 1e-7

@@ -244,7 +244,7 @@ class TestCascadeVariant:
     def test_contraction_capped_by_resolution(self):
         net = build_network(hbonet_spec(width=0.25, divisor=8, variant=3),
                             init_weights=False)
-        by_name = {u.name: u for u in net.units if hasattr(u, "cfg")}
+        by_name = {u.name: u for u in net.units if u.cfg is not None}
         # hbo1 sees 112^2 input: full 3 units; hbo6 sees 14^2: capped at 1
         assert by_name["hbo1_1"].cfg.contraction_count == 3
         assert by_name["hbo6_1"].cfg.contraction_count == 1

@@ -81,8 +81,8 @@ def _depthwise_reference(x, w, stride, pad):
 
 def _depthwise_vjp_reference(x, w, g, stride, pad=None):
     """Per-tap NCHW (dx, dw), pad (k-1)/2 unless given: the bitwise
-    reference for the depthwise VJP of ``Tape.depthwise_conv`` and
-    ``Tape.conv2d``; w has shape (c, kh, kw)."""
+    reference for the depthwise VJP of ``Tape.depthwise_conv``, with or
+    without an explicit pad; w has shape (c, kh, kw)."""
     kh, kw = w.shape[1], w.shape[2]
     pad = (kh - 1) // 2 if pad is None else pad
     xp = ops._pad_nd(x, pad)
@@ -179,15 +179,26 @@ class TestDepthwiseBitwise:
         want = _depthwise_reference(x, w[:, 0], stride, pad)
         assert got.data.tobytes() == want.tobytes()
 
+    def test_grouped_conv_runs_the_depthwise_tape_op(self, monkeypatch):
+        """conv2d with groups == channels is one ``Tape.depthwise_conv``
+        call with its explicit pad, so a traced run names it depthwise."""
+        calls, inner = [], Tape.depthwise_conv
+        monkeypatch.setattr(Tape, "depthwise_conv", lambda self, x, w, *args:
+                            calls.append(args) or inner(self, x, w, *args))
+        ops.conv2d(Tensor(np.ones((1, 2, 5, 5))),
+                   ConvKernel(np.ones((2, 1, 3, 2)), groups=2), 2, 1)
+        assert calls == [(2, 1)]
+
     @GROUPED
     def test_grouped_conv_vjp_equals_reference(self, kh, kw, stride, pad, n):
-        """The VJP of a (c, kh, kw) ``Tape.conv2d``: non-square and even
-        kernels, any padding, stride 3; dx and dw byte for byte."""
+        """The VJP of ``Tape.depthwise_conv`` with an explicit pad:
+        non-square and even kernels, any padding, stride 3; dx and dw byte
+        for byte."""
         rng = np.random.default_rng(kh * 100 + kw * 10 + stride + pad + n)
         x = rng.normal(size=(n, 4, 7, 6))
         w = rng.normal(size=(4, kh, kw))
         tape = Tape()
-        y = tape.conv2d(tape.leaf(x), tape.leaf(w), stride, pad)
+        y = tape.depthwise_conv(tape.leaf(x), tape.leaf(w), stride, pad)
         g = rng.normal(size=y.shape)
         dx, dw = y.vjp(g)
         want_dx, want_dw = _depthwise_vjp_reference(x, w, g, stride, pad)
@@ -284,7 +295,7 @@ class TestDepthwiseWindow:
         assert got.shape == (n, 2, 2, 2)
         assert got.data.tobytes() == want.tobytes() == np.zeros(want.shape).tobytes()
         tape = Tape()
-        y = tape.conv2d(tape.leaf(x), tape.leaf(w[:, 0]), 3, 2)
+        y = tape.depthwise_conv(tape.leaf(x), tape.leaf(w[:, 0]), 3, 2)
         g = rng.normal(size=y.shape)
         dx, dw = y.vjp(g)
         want_dx, want_dw = _depthwise_vjp_reference(x, w[:, 0], g, 3, 2)
@@ -491,6 +502,18 @@ class TestBatchNorm:
         with pytest.raises(DimensionError):
             ops.batchnorm(Tensor.zeros(1, 3, 2, 2),
                           BatchNormParams.identity(2))
+
+    @pytest.mark.parametrize("field,value", [
+        ("eps", np.nan), ("eps", np.inf), ("momentum", np.nan),
+        ("momentum", -0.1), ("momentum", 1.5),
+        ("running_mean", [0.0, np.nan]), ("running_mean", [np.inf, 0.0]),
+        ("running_var", [1.0, np.nan]), ("running_var", [np.inf, 1.0]),
+    ])
+    def test_bad_parameters_rejected(self, field, value):
+        """Each of these was accepted; a NaN momentum or running statistic
+        then spreads NaN through every training batch norm."""
+        with pytest.raises(ValueError, match=field):
+            BatchNormParams(np.ones(2), np.zeros(2), **{field: value})
 
 
 @pytest.mark.parametrize("in_place", [False, True])

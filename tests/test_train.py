@@ -373,6 +373,13 @@ class TestTruncatedSchedule:
         (1, ToyConfig(label_smoothing=-0.1)),
         (1, ToyConfig(noise=-1.0)),
         (1, ToyConfig(noise=math.inf)),
+        (1, ToyConfig(momentum=math.nan)),
+        (1, ToyConfig(momentum=1.5)),
+        (1, ToyConfig(momentum=1.0)),
+        (1, ToyConfig(momentum=-0.1)),
+        (1, ToyConfig(weight_decay=-1.0)),
+        (1, ToyConfig(weight_decay=math.nan)),
+        (1, ToyConfig(weight_decay=math.inf)),
     ])
     def test_out_of_range_rejected_before_any_step(self, monkeypatch,
                                                    epochs, config):
