@@ -113,11 +113,9 @@ class BatchNormParams:
                                     self.running_var)}
         if shapes != {(c,)}:
             raise DimensionError(f"batchnorm parameter vectors disagree: {shapes}")
-        # every comparison with NaN is False, so a NaN fails each check
-        if not (np.isfinite(self.running_mean).all()
-                and ((0 <= self.running_var) & (self.running_var < np.inf)).all()):
-            raise ValueError("running_mean must be finite and running_var finite "
-                             "and >= 0, elementwise")
+        if not (np.isfinite(self.running_mean).all() and np.isfinite(self.running_var).all()
+                and (self.running_var >= 0).all()):
+            raise ValueError("running_mean and running_var must be finite, running_var >= 0")
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if not 0 <= self.momentum <= 1:
@@ -515,6 +513,8 @@ def conv2d(x: Tensor, w: ConvKernel, stride: int = 1, pad: int = 0) -> Tensor:
     if (w.groups, w.c_out) != (x.c, x.c):
         raise UnsupportedKernelError(f"conv2d takes groups 1 or groups == c_out == "
                                      f"{x.c}, got groups {w.groups}, c_out {w.c_out}")
+    if pad is None:     # depthwise_conv's default pad (k-1)/2, not a conv2d pad
+        raise ValueError("stride and pad must be integers, got pad None")
     return _autodiff.eager(_autodiff.Tape.depthwise_conv, x, w.data[:, 0], stride, pad)
 
 

@@ -413,6 +413,8 @@ _GEOMETRY_CALLS = {
         x, ConvKernel(np.ones((2, 1, 3, 3)), groups=2), stride=v),
     "conv2d-stride": lambda x, v: ops.conv2d(x, ConvKernel(np.ones((3, 2, 3, 3))), v, 1),
     "conv2d-pad": lambda x, v: ops.conv2d(x, ConvKernel(np.ones((3, 2, 3, 3))), 1, v),
+    "grouped-conv-pad": lambda x, v: ops.conv2d(
+        x, ConvKernel(np.ones((2, 1, 3, 3)), groups=2), 1, v),
     "upsample-factor": lambda x, v: ops.bilinear_upsample(x, v),
     "avgpool-kernel": lambda x, v: ops.avgpool(x, v, 2),
     "take-first": lambda x, v: ops.take_first_channels(x, v),
@@ -422,12 +424,13 @@ _GEOMETRY_CALLS = {
 @pytest.mark.parametrize("op,value", [
     ("depthwise-stride", 2.0), ("conv2d-stride", 1.5), ("conv2d-pad", 1.0),
     ("upsample-factor", 2.0), ("avgpool-kernel", 2.0), ("take-first", 2.0),
-    ("depthwise-stride", np.int64(2)),
+    ("depthwise-stride", np.int64(2)), ("grouped-conv-pad", None),
 ], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
 def test_geometry_must_be_integer(op, value):
     """A float stride, pad, factor, kernel or channel count raises the op's
     ValueError from its shape rule, not a numpy TypeError from a kernel; a
-    numpy integer is an integer."""
+    numpy integer is an integer. A None pad on a grouped conv2d is not
+    ``Tape.depthwise_conv``'s default (k-1)/2, which conv2d does not take."""
     x = Tensor(np.arange(32.0).reshape(1, 2, 4, 4))
     call = _GEOMETRY_CALLS[op]
     if isinstance(value, np.integer):
@@ -510,8 +513,9 @@ class TestBatchNorm:
         ("running_var", [1.0, np.nan]), ("running_var", [np.inf, 1.0]),
     ])
     def test_bad_parameters_rejected(self, field, value):
-        """Each of these was accepted; a NaN momentum or running statistic
-        then spreads NaN through every training batch norm."""
+        """A non-finite eps, a momentum outside [0, 1] or a non-finite
+        running statistic raises: a NaN in any of them would spread NaN
+        through every training batch norm."""
         with pytest.raises(ValueError, match=field):
             BatchNormParams(np.ones(2), np.zeros(2), **{field: value})
 
