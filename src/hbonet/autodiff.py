@@ -112,6 +112,13 @@ def _depthwise_shape(x, w, stride=1, pad=None):
     return _conv2d_shape(x, (w[0], *w), stride, pad)
 
 
+def _pointwise_shape(x, w):
+    """(o, c) weights."""
+    if len(w) != 2:
+        raise UnsupportedKernelError(f"pointwise_conv kernel must be (o, c), got {w}")
+    return _conv2d_shape(x, (*w, 1, 1))
+
+
 def _batchnorm_shape(x, gamma, beta, p, training=False):
     if not (p.channels,) == gamma == beta == x[1:2]:
         raise DimensionError(f"batchnorm has {p.channels} channels (gamma {gamma}, "
@@ -177,7 +184,7 @@ def _flatten_shape(x):
 _SHAPE_RULES = {
     "conv2d": _conv2d_shape,
     "depthwise_conv": _depthwise_shape,
-    "pointwise_conv": lambda x, w: _conv2d_shape(x, (*w, 1, 1)),   # (o, c) weights
+    "pointwise_conv": _pointwise_shape,
     "relu6": lambda x: x,
     "batchnorm": _batchnorm_shape,
     "bilinear_upsample": _upsample_shape,
@@ -318,7 +325,7 @@ class Tape:
 
     def pointwise_conv(self, x: Node, w: Node) -> Node:
         """1x1 conv; ``w`` holds a (c_out, c_in) matrix."""
-        _conv2d_shape(x.shape, (*w.shape, 1, 1))
+        _pointwise_shape(x.shape, w.shape)
         xv, wv = x.value, w.value
         out = _ops._pointwise_nd(xv, wv)
 

@@ -9,6 +9,20 @@ taped values are one computation; they check only the ``ConvKernel`` fields
 (groups, c_out, kernel size) that the tape never sees. Every convolution path is
 tested against ``conv2d_oracle`` at 1e-12.
 
+Dense and pointwise convolution are each one ``np.matmul`` oriented so
+that BLAS writes NCHW: the (o, k) weight matrix times channel-major
+(k, n*oh*ow) columns gives (o, n*oh*ow), whose two outer axes swap into
+NCHW, a move of nothing at n == 1. The dense conv's columns are one
+strided copy per kernel tap; pointwise's are the input itself, a view at
+n == 1. The orientation sets the dense conv's bits: on OpenBLAS 0.3.31
+the transposed product, (n*oh*ow, k) by (k, o), gives the same bits
+wherever n*oh*ow is a multiple of 8 and o <= 32, as in every HBONet stem
+and MobileNetV2's at a resolution that is a multiple of 8; the logit pins
+in the tests rely on it. Elsewhere OpenBLAS may round the two
+orientations differently on products under about 10^6 multiply-adds:
+MobileNetV2 at resolution 33, say, or the finite-difference check's
+(2, 3, 6, 6) conv. The VJPs are ``tensordot`` contractions.
+
 Tensors are NCHW at every interface. Inside, depthwise convolution and
 its VJP turn each kernel tap into long numpy sweeps over one layout: the
 zero-padded input split into stride x stride phase planes
@@ -178,13 +192,26 @@ def _pad_nd(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _conv2d_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Dense (groups == 1) convolution via windowed tensordot."""
-    kh, kw = w.shape[2], w.shape[3]
+    """Dense (groups == 1) convolution as one GEMM that writes NCHW.
+
+    The columns are channel-major, (c, kh, kw, n, oh, ow): one strided copy
+    of the padded input per kernel tap. ``w`` as an (o, c*kh*kw) matrix
+    times them gives (o, n*oh*ow), which is NCHW once its two outer axes
+    swap; at n == 1 that swap moves nothing. Each output's c*kh*kw
+    products are in (c, kh, kw) order, as in the transposed
+    (n*oh*ow, c*kh*kw) by (c*kh*kw, o) product; the module docstring says
+    where BLAS gives the two orientations the same bits."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
     xp = _pad_nd(x, pad)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # win: (n, c, oh, ow, kh, kw) -> contract (c, kh, kw) against w (o, c, kh, kw)
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    cols = np.empty((c, kh, kw, n, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride,
+                               j:j + stride * ow:stride].transpose(1, 0, 2, 3)
+    out = np.matmul(w.reshape(o, -1), cols.reshape(c * kh * kw, -1))
+    return np.ascontiguousarray(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
 
 
 class _Geometry(NamedTuple):
@@ -407,9 +434,15 @@ def _nchw_sums(p: np.ndarray) -> np.ndarray:
 
 
 def _pointwise_nd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise (1x1) convolution; w has shape (c_out, c_in)."""
-    out = np.tensordot(w, x, axes=([1], [1]))   # (o, n, h, w)
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    """Pointwise (1x1) convolution as one GEMM that writes NCHW; w has
+    shape (c_out, c_in).
+
+    ``w`` times the input as a (c_in, n*h*w) matrix gives (c_out, n*h*w),
+    which is NCHW once its two outer axes swap. At n == 1 the input matrix
+    is a view and the swap moves nothing; a batch costs one copy of each."""
+    n, c, h, wd = x.shape
+    out = np.matmul(w, x.transpose(1, 0, 2, 3).reshape(c, -1))
+    return np.ascontiguousarray(out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3))
 
 
 def _relu6_nd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

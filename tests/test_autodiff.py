@@ -524,6 +524,17 @@ def test_every_path_raises_the_named_error(eager_call, tape_call, error):
         assert type(info.value) is error
 
 
+def test_pointwise_rule_names_its_op_and_the_shape_passed():
+    """A pointwise weight of the wrong rank is rejected by the pointwise
+    rule itself, naming that op and the caller's shape rather than the
+    dense rule's 4-D kernel."""
+    x = np.zeros((1, 3, 4, 4))
+    for tape in (Tape(), Tape(grad_enabled=False), ShapeTape()):
+        with pytest.raises(UnsupportedKernelError,
+                           match=r"^pointwise_conv kernel .*, got \(2, 3, 1\)$"):
+            tape.pointwise_conv(tape.leaf(x), tape.leaf(np.zeros((2, 3, 1))))
+
+
 class TestPerfbenchHooks:
     """perfbench/tracing.py overrides Tape methods by name and reads a conv
     call's weight as its second argument; loaded here without editing it."""

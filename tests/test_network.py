@@ -118,6 +118,32 @@ class TestForward:
         logits = forward(net, x)
         assert np.allclose(logits[0], logits[1], atol=1e-10)
 
+    # sha256 of the batch-1 logits' bytes for the input drawn from
+    # default_rng(0), default seed-0 weights. A kernel change that claims to
+    # keep every bit is held to these; one that does not must say why and
+    # replace them.
+    LOGITS = [
+        pytest.param(hbonet_spec, 1.0, 224, "f14e8b1ca08295060d0c37adb195fabb"
+                     "ea28fe2c8e1e4cc3325ced6b5c31357d", id="hbonet-1.0@224"),
+        pytest.param(hbonet_spec, 0.25, 96, "478d88916d241deb7d57620685474ccb"
+                     "c1f5a7cf672eee72159374201343b773", id="hbonet-0.25@96"),
+        pytest.param(mobilenetv2_spec, 1.0, 224, "1c5bba33145fc7b7b6c7622fdef93e41"
+                     "d0b258c0615a897f421e9bc09691ba93", id="mobilenetv2-1.0@224"),
+        pytest.param(mobilenetv2_spec, 0.25, 96, "8d684e2c99f0eb63df93577943e6c80a"
+                     "793fb1555be33eef9ec23de2cfc92d82", id="mobilenetv2-0.25@96"),
+    ]
+
+    @pytest.mark.parametrize("make_spec,width,res,digest", LOGITS)
+    def test_logits_bits_are_pinned(self, make_spec, width, res, digest):
+        net = build_network(make_spec(width, res))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 3, res, res)))
+        got = hashlib.sha256(forward(net, x).tobytes()).hexdigest()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert got == digest, (
+            f"logits bytes changed (sha256 {got}); pinned with numpy 2.4.6 "
+            f"and OpenBLAS 0.3.31, running numpy {np.__version__} and "
+            f"{blas['name']} {blas['version']}")
+
     def test_resolution_mismatch_rejected(self):
         net = build_hbonet(width=0.25, resolution=96)
         with pytest.raises(ConfigError):

@@ -408,6 +408,38 @@ class TestDenseConv2d:
         assert conv2d_oracle(x, w, stride=1, pad=1).shape == (1, kernel[0], 6, 6)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), c=st.integers(1, 5), o=st.integers(1, 6),
+       kh=st.integers(1, 4), kw=st.integers(1, 4), stride=st.integers(1, 3),
+       pad=st.integers(0, 2), h=st.integers(1, 9), w=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 16))
+# the stem's geometry: 3 -> 32 channels, 3x3 at stride 2, pad 1
+@example(n=1, c=3, o=32, kh=3, kw=3, stride=2, pad=1, h=9, w=9, seed=0)
+@example(n=4, c=3, o=6, kh=2, kw=3, stride=2, pad=0, h=7, w=5, seed=1)
+def test_gemm_kernels_match_oracle_into_fresh_arrays(n, c, o, kh, kw, stride,
+                                                     pad, h, w, seed):
+    """Dense ``conv2d`` (groups 1) and ``pointwise_conv`` match the oracle
+    at 1e-12. Each kernel's output is a fresh C-contiguous, writeable NCHW
+    array sharing no memory with its operands, since ``_apply_layer`` writes
+    the batch norm and ReLU6 into it through ``_out``."""
+    assume(kh <= h + 2 * pad and kw <= w + 2 * pad)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, w))
+    dense = rng.normal(size=(o, c, kh, kw))
+    point = rng.normal(size=(o, c))
+    X = Tensor(x)
+    for got, want in (
+            (ops.conv2d(X, ConvKernel(dense), stride, pad),
+             conv2d_oracle(X, ConvKernel(dense), stride, pad)),
+            (ops.pointwise_conv(X, ConvKernel(point[:, :, None, None])),
+             conv2d_oracle(X, ConvKernel(point[:, :, None, None]), 1, 0))):
+        assert tensor_equal_within(got, want, 1e-12)
+    for out, wt in ((ops._conv2d_nd(x, dense, stride, pad), dense),
+                    (ops._pointwise_nd(x, point), point)):
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not (np.shares_memory(out, x) or np.shares_memory(out, wt))
+
+
 _GEOMETRY_CALLS = {
     "depthwise-stride": lambda x, v: ops.depthwise_conv(
         x, ConvKernel(np.ones((2, 1, 3, 3)), groups=2), stride=v),
