@@ -34,10 +34,12 @@ class TapeConsumedError(RuntimeError):
 
 
 class Node:
-    """One value in the recorded graph. On a recording tape an interior node
-    holds its value only while the forward may still read it: an op writing
-    into it through ``_out`` takes the array over, and :meth:`Tape.release`
-    drops it once no later op reads it. VJPs keep what their closures
+    """One value in the recorded graph. ``parents`` is ``()`` for a leaf and
+    ``None`` for an op's output on a grad-disabled tape, which links no node
+    to another. An interior node holds its value only while the forward may
+    still read it: :meth:`Tape.release` drops it once no later op reads it,
+    on either kind of tape, and on a recording tape an op writing into it
+    through ``_out`` takes the array over. VJPs keep what their closures
     captured, and ``backward`` keeps values."""
 
     __slots__ = ("value", "parents", "vjp", "grad", "name")
@@ -232,7 +234,7 @@ class Tape:
 
     def _record(self, value, parents, vjp, name, takes_x=False) -> Node:
         if not self.grad_enabled:
-            return Node(value, (), None, name)
+            return Node(value, None, None, name)
         node = Node(value, tuple(parents), vjp, name)
         self.nodes.append(node)
         return self.release(node, parents[0]) if takes_x else node
@@ -240,9 +242,12 @@ class Tape:
     def release(self, out: Node, *spent: Node) -> Node:
         """``out``, after dropping the value of each interior ``spent`` node,
         which no later forward op reads: the wiring wraps the op that reads
-        them last. Leaves, and a grad-disabled tape's nodes, keep values."""
+        them last. Both kinds of tape drop them, so an inference forward
+        frees each activation at its last reader, as a recording forward
+        does. Leaves, :class:`ShapeTape` nodes and ``out`` itself (a
+        ShapeTape op may return its operand) keep their values."""
         for node in spent:
-            if node.parents and not isinstance(node, _Released):
+            if node.parents != () and node is not out and not isinstance(node, _Released):
                 node.value = None
                 node.__class__ = _Released
         return out

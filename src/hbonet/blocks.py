@@ -243,7 +243,10 @@ def init_block_params(cfg: BlockConfig, rng: np.random.Generator | None = None,
 
 
 # ---------------------------------------------------------------------------
-# forward wiring (single implementation via the tape)
+# forward wiring (single implementation via the tape). The wiring releases
+# each value after its last reader (Tape.release), and no local name keeps a
+# spent node: a grad-disabled forward then frees each activation once it is
+# spent, and a recording one each array that no VJP captured.
 # ---------------------------------------------------------------------------
 
 def _apply_layer(tape: Tape, x: Node, lp: LayerParams, training: bool,
@@ -274,8 +277,11 @@ def inverted_residual_forward_node(x: Node, cfg: BlockConfig,
                                    p: dict[str, LayerParams], tape: Tape,
                                    training: bool = False,
                                    prefix: str = "") -> Node:
-    y = x
-    for lp in p.values():       # expand_pw (if t != 1), body, reduce
+    layers = iter(p.values())   # expand_pw (if t != 1), body, reduce
+    y = _apply_layer(tape, x, next(layers), training, prefix)
+    if not cfg.use_residual:    # then the first layer is x's last reader
+        y = tape.release(y, x)
+    for lp in layers:
         y = _apply_layer(tape, y, lp, training, prefix)
     if cfg.use_residual:
         y = tape.eltadd(y, x, _out=y.value)
@@ -295,25 +301,32 @@ def hbo_forward_node(x: Node, cfg: BlockConfig, p: dict[str, LayerParams],
     def layer(y, name):
         return _apply_layer(tape, y, p[f"{prefix}{name}"], training, prefix)
 
-    y = body_in = layer(x, "contract_dw")
-    for name in ("expand_pw", "body_dw", "reduce_pw"):
+    # The shortcut is taken first, so that contract_dw is x's last reader
+    # and x is dropped before the expanded body runs. At stride 2 it is the
+    # pool of a view of x; at stride 1 the view itself keeps x's array to
+    # the concat. The pool works per channel, so pooling only the kept
+    # channels gives the same values.
+    short = tape.take_first_channels(x, cfg.shortcut_width)
+    if cfg.stride == 2:
+        short = tape.release(tape.avgpool(short, 2, 2), short)
+    body_in = tape.release(layer(x, "contract_dw"), x)
+    y = layer(body_in, "expand_pw")
+    if not cfg.use_residual:    # then expand_pw is body_in's last reader
+        y = tape.release(y, body_in)
+    for name in ("body_dw", "reduce_pw"):   # no name holds a spent value
         y = layer(y, name)
     if cfg.use_residual:
-        # the residual add writes into the reduce_pw output, which no VJP reads
-        y = tape.eltadd(y, tape.take_first_channels(body_in, cfg.main_width),
-                        _out=y.value)
+        # the residual add writes into the reduce_pw output, which no VJP
+        # reads, and reads body_in last, through a view
+        y = tape.release(tape.eltadd(y, tape.take_first_channels(body_in, cfg.main_width),
+                                     _out=y.value), body_in)
     for u in range(2, k + 1):
-        y = layer(layer(y, f"casc{u}_dw"), f"casc{u}_pw")
+        for name in (f"casc{u}_dw", f"casc{u}_pw"):
+            y = layer(y, name)
     factor = 2 ** k if cfg.stride == 1 else 2 ** (k - 1)
     if factor > 1:
         y = tape.release(tape.bilinear_upsample(y, factor), y)
     y = layer(y, "smooth_dw")
-
-    # the pool works per channel, so pooling only the kept channels gives
-    # the same values
-    short = tape.take_first_channels(x, cfg.shortcut_width)
-    if cfg.stride == 2:
-        short = tape.avgpool(short, 2, 2)
     return tape.release(tape.concat_channels(y, short), y, short)
 
 

@@ -14,7 +14,7 @@ presets and the builder convenience constructors read them from there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -116,14 +116,28 @@ def _scale_channels(c: int, spec: NetworkSpec, exempt: bool) -> int:
     return make_divisible(c * spec.width, spec.divisor)
 
 
+_TABLE_KEYS = ("format_version", "name", "stages")
+_ROW_KEYS = tuple(f.name for f in fields(StageSpec))
+
+
+def _check_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """A misspelled key would otherwise be ignored and its default used."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{where}unknown key {key!r}; expected one of "
+                              f"{', '.join(known)}")
+
+
 def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
-    """Parse a stage-table JSON document, reporting the offending row index."""
+    """Parse a stage-table JSON document, reporting the offending row index.
+    A key outside the table's or a row's known keys is an error."""
     if not isinstance(doc, dict):
         raise ConfigError(
             f"stage table must be a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if not _is_int(version) or version != 1:
         raise ConfigError(f"unsupported format_version {version!r}")
+    _check_keys(doc, _TABLE_KEYS, "stage table: ")
     rows = doc.get("stages", [])
     if not isinstance(rows, list):
         raise ConfigError(f"'stages' must be a list, got {type(rows).__name__}")
@@ -132,16 +146,12 @@ def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
         if not isinstance(row, dict):
             raise ConfigError(
                 f"stage {i}: must be a JSON object, got {type(row).__name__}")
+        _check_keys(row, _ROW_KEYS, f"stage {i}: ")
+        if "op" not in row:
+            raise ConfigError(f"stage {i}: missing 'op'")
         try:
-            stages.append(StageSpec(
-                op=row["op"],
-                t=row.get("t"),
-                c=row.get("c"),
-                n=row.get("n", 1),
-                s=row.get("s", 1),
-                width_exempt=row.get("width_exempt", False),
-            ))
-        except (KeyError, ConfigError) as exc:
+            stages.append(StageSpec(**row))
+        except ConfigError as exc:
             raise ConfigError(f"stage {i}: {exc}") from exc
         if stages[-1].op in ("conv3x3", "conv1x1", "conv1x1_linear", "hbo",
                              "inverted_residual") and stages[-1].c is None:

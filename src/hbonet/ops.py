@@ -210,6 +210,7 @@ def _conv2d_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarra
         for j in range(kw):
             cols[:, i, j] = xp[:, :, i:i + stride * oh:stride,
                                j:j + stride * ow:stride].transpose(1, 0, 2, 3)
+    del xp      # the padded copy is freed before the GEMM allocates
     out = np.matmul(w.reshape(o, -1), cols.reshape(c * kh * kw, -1))
     return np.ascontiguousarray(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
 

@@ -3,6 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report. Tolerances are fixed here and nowhere else.
 """
+import hashlib
+import io
 import time
 
 import numpy as np
@@ -19,7 +21,7 @@ from hbonet.network import (
 )
 from hbonet.ops import conv2d, depthwise_conv, pointwise_conv
 from hbonet.tensor import ConvKernel, MacCounter, Tensor, conv2d_oracle
-from hbonet.train import ToyConfig, train_toy
+from hbonet.train import ToyConfig, train_toy, write_log_csv
 
 MFLOPS_TOL = 3.0  # percent
 
@@ -174,9 +176,16 @@ def test_criterion_7_gradient_correctness():
           f"{elapsed:.1f} s")
 
 
-def test_criterion_8_toy_training():
+@pytest.fixture(scope="module")
+def toy_log():
+    """Criterion 8's 40-epoch seed-0 run, trained once for every test here
+    that reads it."""
+    return train_toy(config=ToyConfig(), epochs=40, seed=0)
+
+
+def test_criterion_8_toy_training(toy_log):
     config = ToyConfig()
-    log = train_toy(config=config, epochs=40, seed=0)
+    log = toy_log
 
     final_acc = log[-1].accuracy
     assert final_acc > 0.90, f"final train accuracy {final_acc:.3f} <= 0.90"
@@ -194,6 +203,19 @@ def test_criterion_8_toy_training():
     print(f"\ncriterion 8 PASS: final train accuracy {final_acc:.3f} after "
           f"40 epochs (lr {config.base_lr}); smoothed loss non-increasing "
           f"over epochs 1-20; log bitwise reproducible")
+
+
+# sha256 of criterion 8's log as `hbonet train-toy --epochs 40 --seed 0
+# --log-csv` writes it. The toy run magnifies a last-bit change in any kernel
+# of the training step about 10^4 times per step, so every such change shows.
+TOY_LOG_SHA256 = "d748bb5f29cb503754142b74990534f72fdbb5669a0f2e2708685773bbcb3b43"
+
+
+def test_toy_log_bits_are_pinned(toy_log, pin_versions):
+    buf = io.StringIO()
+    write_log_csv(toy_log, buf)
+    got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert got == TOY_LOG_SHA256, f"40-epoch log changed (sha256 {got}); {pin_versions}"
 
 
 def test_criterion_9_out_of_scope_note():

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hbonet.autodiff import (ShapeTape, Tape, TapeConsumedError, _bn_batch_normalize,
-                             _bn_normalize, backward, eager, finite_diff_check)
-from hbonet.blocks import BlockConfig, BlockKind, hbo_forward_node, init_block_params
+from hbonet.autodiff import (Shape, ShapeTape, Tape, TapeConsumedError,
+                             _bn_batch_normalize, _bn_normalize, backward, eager,
+                             finite_diff_check)
+from hbonet.blocks import (BlockConfig, BlockKind, hbo_forward_node, init_block_params,
+                           inverted_residual_forward_node)
 from hbonet.ops import BatchNormParams
 from hbonet.tensor import DimensionError, UnsupportedKernelError
 
@@ -216,6 +218,103 @@ class TestLiveness:
         ref_tape, *_, ref_loss = run(release=False)
         assert_leaf_grads_bitwise(backward(tape, loss),
                                   keep_everything_backward(ref_tape, ref_loss))
+
+
+class LivenessTape(Tape):
+    """A grad-disabled tape that notes, as each conv of a block runs, which
+    earlier conv inputs of the block are still alive, by layer name."""
+
+    def __init__(self):
+        super().__init__(grad_enabled=False)
+        self.inputs = {}    # layer -> weakref to the array it read
+        self.alive = {}     # layer -> layers whose input array was alive
+
+    def _note(self, x, w):
+        layer = w.name.rpartition(".")[0]
+        self.alive[layer] = {k for k, ref in self.inputs.items() if ref() is not None}
+        self.inputs[layer] = weakref.ref(x.value)
+
+    def depthwise_conv(self, x, w, stride=1, pad=None):
+        self._note(x, w)
+        return super().depthwise_conv(x, w, stride, pad)
+
+    def pointwise_conv(self, x, w):
+        self._note(x, w)
+        return super().pointwise_conv(x, w)
+
+
+class TestInferenceRelease:
+    """A grad-disabled tape drops each interior value at its last reader,
+    as a recording tape does; leaves, ShapeTape nodes and ``release``'s own
+    ``out`` keep theirs."""
+
+    def test_released_interior_array_is_freed(self):
+        tape = Tape(grad_enabled=False)
+        x = tape.leaf(np.arange(-4.0, 12.0).reshape(1, 1, 4, 4), "x")
+        a = tape.relu6(x)
+        assert a.parents is None and a.vjp is None   # linked to no node
+        freed = weakref.ref(a.value)
+        b = tape.release(tape.bilinear_upsample(a, 2), a, x)
+        assert freed() is None
+        with pytest.raises(TapeConsumedError):
+            a.value
+        assert x.value.shape == (1, 1, 4, 4)      # a leaf keeps its value
+        assert b.value.shape == (1, 1, 8, 8)
+
+    @pytest.mark.parametrize("grad_enabled", [True, False])
+    def test_release_keeps_out(self, grad_enabled):
+        tape = Tape(grad_enabled=grad_enabled)
+        y = tape.relu6(tape.eltadd(tape.leaf(np.ones((1, 1, 2, 2))),
+                                   tape.leaf(np.ones((1, 1, 2, 2)))))
+        assert tape.release(y, y) is y
+        assert np.array_equal(y.value, np.full((1, 1, 2, 2), 2.0))
+
+    def test_shape_tape_nodes_keep_values(self):
+        """A ShapeTape op whose shape is its operand's returns the operand
+        node itself, so the wiring's ``release(op(y), y)`` passes ``out`` as
+        spent; no ShapeTape node is ever dropped."""
+        tape = ShapeTape()
+        a = tape.leaf(Shape((1, 2, 4, 4)), "a")
+        b = tape.bilinear_upsample(a, 2)
+        assert tape.relu6(b) is b
+        assert tape.release(tape.relu6(b), b) is b
+        tape.release(tape.avgpool(b, 2, 2), a, b)
+        assert a.value.shape == (1, 2, 4, 4) and b.value.shape == (1, 2, 8, 8)
+
+    @pytest.mark.parametrize("forward,cfg,want", [
+        pytest.param(hbo_forward_node,
+                     BlockConfig(8, 16, 2, 2, BlockKind.HARMONIOUS_BOTTLENECK),
+                     {"contract_dw": set(), "expand_pw": set(),
+                      "body_dw": {"expand_pw"}, "reduce_pw": {"expand_pw"},
+                      "smooth_dw": set()}, id="hbo-stride2-residual"),
+        pytest.param(hbo_forward_node,
+                     BlockConfig(8, 16, 2, 1, BlockKind.HARMONIOUS_BOTTLENECK,
+                                 residual=False),
+                     {"contract_dw": set(), "expand_pw": {"contract_dw"},
+                      "body_dw": {"contract_dw"}, "reduce_pw": {"contract_dw"},
+                      "smooth_dw": {"contract_dw"}}, id="hbo-stride1-no-residual"),
+        pytest.param(inverted_residual_forward_node,
+                     BlockConfig(8, 16, 6, 2, BlockKind.INVERTED_RESIDUAL),
+                     {"expand_pw": set(), "body_dw": set(), "reduce_pw": set()},
+                     id="invres-no-residual"),
+    ])
+    def test_block_frees_values_at_their_last_reader(self, forward, cfg, want):
+        """The block input is dead once contract_dw (HBO: the 2x2 pool of the
+        shortcut has already read it) or the first layer (an inverted
+        residual without its add) has run; at stride 1 the HBO shortcut is a
+        view that keeps it to the concat. The HBO contraction output, which
+        expand_pw reads, lives until the residual add, if there is one."""
+        rng = np.random.default_rng(3)
+        p = init_block_params(cfg, rng)
+        x_arr = 4 * rng.normal(size=(1, 8, 8, 8))
+        probe, outs = LivenessTape(), []
+        for tape in (probe, Tape(grad_enabled=False)):
+            x = tape.relu6(tape.leaf(x_arr, "input"))   # an interior input
+            outs.append(forward(x, cfg, p, tape).value)
+            with pytest.raises(TapeConsumedError):
+                x.value
+        assert probe.alive == want
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def _interior(tape, rng):

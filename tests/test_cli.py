@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, and output files."""
+import hashlib
 import json
 
 import pytest
 
 from hbonet.cli import build_parser, main
+from hbonet.network import load_stage_table
 from hbonet.train import ToyConfig
 
 
@@ -104,6 +106,16 @@ class TestGradcheck:
         rc = main(["gradcheck", "--seed", "0", "--threshold", "1e-18"])
         assert rc == 1
 
+    # sha256 of `hbonet gradcheck`'s default stdout: every check's relative
+    # error to four digits, so a change in any gradient's last bits shows
+    STDOUT_SHA256 = "49a8557d17b1e63c345c234270327576d585a00e9be14b53ad5e6983c48d7a74"
+
+    def test_default_stdout_is_pinned(self, capsys, pin_versions):
+        assert main(["gradcheck"]) == 0
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == self.STDOUT_SHA256, \
+            f"gradcheck stdout changed (sha256 {got}); {pin_versions}"
+
 
 class TestTrainToy:
     def test_tiny_run_writes_csv(self, tmp_path, capsys):
@@ -168,6 +180,9 @@ class TestBadInput:
         ["analyze", "--spec", "{fractional_n}"],
         ["analyze", "--spec", "{no_pool}"],
         ["infer", "--spec", "{no_pool}"],
+        ["analyze", "--spec", "{stride_key}", "--resolution", "32"],
+        ["analyze", "--spec", "{extra_row_key}", "--resolution", "32"],
+        ["analyze", "--spec", "{extra_table_key}", "--resolution", "32"],
         ["analyze", "--csv", "{missing}/ledger.csv"],
         ["analyze", "--json", "{missing}/ledger.json"],
         ["analyze", "--csv", "{folder}"],
@@ -187,12 +202,18 @@ class TestBadInput:
             "negative_c": [{"op": "conv3x3", "c": -8, "n": 1, "s": 2}],
             "fractional_n": [{"op": "conv3x3", "c": 32, "n": 1.5, "s": 2}],
             "no_pool": [{"op": "conv3x3", "c": 16, "s": 2}, {"op": "classifier"}],
+            "stride_key": [{"op": "conv3x3", "c": 16, "stride": 2}, {"op": "avgpool"}],
+            "extra_row_key": [{"op": "conv3x3", "c": 16, "s": 2, "extra": 3},
+                              {"op": "avgpool"}],
         }
         tables = {}
         for key, stages in bad_stages.items():
             tables[key] = tmp_path / f"{key}.json"
             tables[key].write_text(json.dumps({"format_version": 1,
                                                "stages": stages}))
+        tables["extra_table_key"] = tmp_path / "extra_table_key.json"
+        tables["extra_table_key"].write_text(json.dumps(
+            {"format_version": 1, "stages": [{"op": "avgpool"}], "extra": 3}))
         argv = [a.format(missing=tmp_path / "missing.json", folder=tmp_path,
                          not_json=not_json, json_list=json_list, **tables)
                 for a in argv]
@@ -212,6 +233,7 @@ class TestDumpSpec:
         assert rc == 0
         assert doc["format_version"] == 1
         assert doc["name"] == preset
+        assert load_stage_table(doc)[0] == preset   # every key is known
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
