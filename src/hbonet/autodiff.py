@@ -335,8 +335,13 @@ class Tape:
         out = _ops._pointwise_nd(xv, wv)
 
         def vjp(g):
-            dw = np.tensordot(g, xv, axes=([0, 2, 3], [0, 2, 3]))
-            dx = np.tensordot(wv.T, g, axes=([1], [1])).transpose(1, 0, 2, 3)
+            # the two contractions np.tensordot would make, sharing the one
+            # (o, n*h*w) copy of g it would make for each: np.dot gets the
+            # same operands in the same layouts, so BLAS gives the same bits
+            n, c, h, wd = xv.shape
+            gm = g.transpose(1, 0, 2, 3).reshape(wv.shape[0], -1)
+            dw = np.dot(gm, xv.transpose(0, 2, 3, 1).reshape(-1, c))
+            dx = np.dot(wv.T, gm).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
             return np.ascontiguousarray(dx), dw
 
         return self._record(out, (x, w), vjp, "pointwise_conv")
@@ -376,9 +381,8 @@ class Tape:
             mean, var, inv, xhat = _bn_batch_normalize(xv, p.eps, out)
             p.running_mean[...] = (1 - p.momentum) * p.running_mean + p.momentum * mean
             p.running_var[...] = (1 - p.momentum) * p.running_var + p.momentum * var
-            with _ops._sweep(xv.shape[2] * xv.shape[3]):
-                np.multiply(gv[None, :, None, None], xhat, out=out)
-                out += bv[None, :, None, None]
+            np.multiply(_ops._per_image(gv, *xv.shape[2:]), xhat, out=out)
+            out += _ops._per_image(bv, *xv.shape[2:])
         else:
             if self.grad_enabled:   # only a recorded node runs its VJP
                 inv, xhat = _bn_normalize(xv, p.running_mean, p.running_var, p.eps)
@@ -386,28 +390,30 @@ class Tape:
                                      p.eps, out=_out)
 
         def vjp(g):
-            sweep = _ops._sweep(g.shape[2] * g.shape[3])
-            with sweep:
-                t = g * xhat
-            dgamma = t.sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
+            # h and wd come from g: each name a VJP captures is one more
+            # cell that every batch-norm node keeps until backward runs it
+            h, wd = g.shape[2:]
+            t = g * xhat
+            dgamma = _ops._channel_sums(t)
+            dbeta = _ops._channel_sums(g)
             if not training:
-                with sweep:
+                with _ops._sweep(h * wd):
                     dx = g * (gv * inv)[None, :, None, None]
                 return dx, dgamma, dbeta
             # inv * (gx - mean(gx) - xhat * mean(gx * xhat)), evaluated in
             # that order with two full-size arrays: t holds each product in
-            # turn and dx is formed in gx
-            with sweep:
-                gx = g * gv[None, :, None, None]
-                np.multiply(gx, xhat, out=t)
-            mean_gx = gx.mean(axis=(0, 2, 3))
-            mean_gx_xhat = t.mean(axis=(0, 2, 3))
-            with sweep:
-                np.multiply(xhat, mean_gx_xhat[None, :, None, None], out=t)
-                gx -= mean_gx[None, :, None, None]
-                gx -= t
-                gx *= inv[None, :, None, None]
+            # turn and dx is formed in gx. Each per-channel vector is swept
+            # as one image's block (ops._per_image), and each mean is
+            # numpy's, sum / count.
+            count = g.size // g.shape[1]
+            gx = g * _ops._per_image(gv, h, wd)
+            np.multiply(gx, xhat, out=t)
+            mean_gx = _ops._channel_sums(gx) / count
+            mean_gx_xhat = _ops._channel_sums(t) / count
+            np.multiply(xhat, _ops._per_image(mean_gx_xhat, h, wd), out=t)
+            gx -= _ops._per_image(mean_gx, h, wd)
+            gx -= t
+            gx *= _ops._per_image(inv, h, wd)
             return gx, dgamma, dbeta
 
         return self._record(out, (x, gamma, beta), vjp, "batchnorm", _out is not None)
@@ -637,20 +643,19 @@ def _bn_batch_normalize(xv, eps, scratch):
     same ``sum`` and ``true_divide``, then ``subtract``, ``square``, ``sum``
     and ``true_divide``. Here the deviations ``xv - mean`` are kept and
     scaled in place into ``xhat``, and the squares go to ``scratch``, which
-    may be ``xv`` itself: 5 full passes where mean, var and normalize take 7.
+    may be ``xv`` itself: 5 full passes (two sums, the subtraction, the
+    square and the scaling) where mean, var and normalize take 7. The sums
+    are ``ops._channel_sums``, and ``mean`` and ``inv`` are swept as one
+    image's block (``ops._per_image``), two allocations of 1/n of a pass.
     """
-    count = xv.size // xv.shape[1]
-    sweep = _ops._sweep(xv.shape[2] * xv.shape[3])
-    mean = xv.sum(axis=(0, 2, 3), keepdims=True)
-    mean /= count
-    with sweep:
-        xhat = xv - mean
-    var = np.square(xhat, out=scratch).sum(axis=(0, 2, 3))
-    var /= count
+    n, _, h, w = xv.shape
+    count = n * h * w
+    mean = _ops._channel_sums(xv) / count
+    xhat = xv - _ops._per_image(mean, h, w)
+    var = _ops._channel_sums(np.square(xhat, out=scratch)) / count
     inv = 1.0 / np.sqrt(var + eps)
-    with sweep:
-        xhat *= inv[None, :, None, None]
-    return mean.reshape(-1), var, inv, xhat
+    xhat *= _ops._per_image(inv, h, w)
+    return mean, var, inv, xhat
 
 
 def backward(tape: Tape, loss_node: Node) -> dict[Node, np.ndarray]:

@@ -21,7 +21,10 @@ and MobileNetV2's at a resolution that is a multiple of 8; the logit pins
 in the tests rely on it. Elsewhere OpenBLAS may round the two
 orientations differently on products under about 10^6 multiply-adds:
 MobileNetV2 at resolution 33, say, or the finite-difference check's
-(2, 3, 6, 6) conv. The VJPs are ``tensordot`` contractions.
+(2, 3, 6, 6) conv. The stem's VJP is two ``tensordot`` contractions; the
+pointwise VJP makes the two ``np.dot`` calls that ``tensordot`` would make,
+on the same operands in the same layouts, so the bits are the same, but
+copies g into its (o, n*h*w) matrix once for both.
 
 Tensors are NCHW at every interface. Inside, depthwise convolution and
 its VJP turn each kernel tap into long numpy sweeps over one layout: the
@@ -34,10 +37,13 @@ padding that no tap reads. The forward sweeps every batch size as one
 contiguous slice per channel over a full-width output grid, one channel
 block at a time, each block's planes built just before its sweep: a call
 holds its input and output plus one block's planes, accumulator and
-scratch. The VJP holds g as (c, oh, ow, n) and scatters dx into phase
-planes that are interleaved into NCHW once at the end. Each output and dx element adds the
-same taps in the same order as a plain NCHW shift-and-add, so the layouts
-give its values bit for bit.
+scratch. The first live tap's product is written straight into the
+accumulator and then has +0 added, in place of a zero fill and an add of
+the product to it: +0 + p and p + 0 are the same bits, a -0 product
+included. The VJP holds g as (c, oh, ow, n) and scatters dx into phase
+planes that are interleaved into NCHW once at the end. Each output and dx
+element adds the same taps in the same order as a plain NCHW
+shift-and-add, so the layouts give its values bit for bit.
 
 The per-channel sums that set training bits follow an order written down
 here rather than left to numpy: ``_nchw_sums`` is numpy 2.4.6's
@@ -49,14 +55,29 @@ sequence, a run of 8 to 128 in 8 interleaved lanes combined as
 ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then its tail in
 sequence, and splits a longer run at half its length, rounded down to a
 multiple of 8. The depthwise ``dw`` and the global average pool take their
-sums from it; a test pins it to numpy's bytes.
+sums from it; a test pins it to numpy's bytes. The training batch norm and
+its VJP take theirs from ``_channel_sums``, which works on NCHW arrays:
+where c > 1 and h*w < 8 every run is added in sequence, so it adds all
+runs at once, one (n, c) slice per position, and then reduces the batch;
+elsewhere numpy's own sum is the fast one. Their means are these sums over
+n*h*w, as numpy's ``mean`` is. A test pins both to numpy's bytes.
 
-Per-channel elementwise sweeps (the depthwise taps, the batch-norm affine)
-whose rows are long run inside ``_sweep``, which shrinks numpy's ufunc
-buffer for their duration so that numpy walks the arrays in place instead
-of copying both operands through the buffer; the caller's buffer size is
-restored afterwards. The buffer decides only how a loop is driven, never
-an elementwise value, and reductions stay outside the scope.
+The training batch norm's per-channel vectors (mean, inverse deviation,
+gamma, beta and the VJP's two means) are laid out as one image's (c, h, w)
+block (``_per_image``) before they are swept over an (n, c, h, w) array, so
+each sweep is n contiguous rows of c*h*w elements rather than n*c rows of
+h*w, which on the toy network's 1x1 to 16x16 maps are 1 to 256 elements
+long. The block costs 1/n of a pass; at n == 1 it would cost a whole one,
+so the folded inference batch norm keeps its per-channel broadcast.
+
+Per-channel elementwise sweeps (the depthwise taps, the inference
+batch-norm affine) whose rows are long run inside ``_sweep``, which
+shrinks numpy's ufunc buffer for their duration so that numpy walks the
+arrays in place instead of copying both operands through the buffer; the
+caller's buffer size is restored afterwards. The training batch norm's
+sweeps need no scope: their rows are whole images. The buffer decides
+only how a loop is driven, never an elementwise value, and reductions
+stay outside the scope.
 
 The batch-norm and ReLU6 kernels take an ``out`` array, and the tape's
 batch norm, ReLU6 and residual add an ``_out``. ``blocks._apply_layer``
@@ -325,12 +346,16 @@ def _depthwise_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.nda
             flat = _phase_planes(x[:, c0:c1], geo, planes[:, :, :c1 - c0]) \
                 .reshape(s, s, c1 - c0, -1)
             acc_b, tmp_b = acc[:c1 - c0], tmp[:c1 - c0]
-            acc_b.fill(0.0)
-            for i, j, a, b, r, q in geo.taps:
+            if not geo.taps:
+                acc_b.fill(0.0)
+            for k, (i, j, a, b, r, q) in enumerate(geo.taps):
                 off = (r * wq + q) * n
                 np.multiply(w[c0:c1, i, j, None],
-                            flat[a, b, :, off:off + span], out=tmp_b)
-                acc_b += tmp_b
+                            flat[a, b, :, off:off + span],
+                            out=tmp_b if k else acc_b)
+                # +0 + p and p + 0 are the same bits, so the first product
+                # goes straight into the accumulator and has +0 added there
+                acc_b += tmp_b if k else 0.0
             out[:, c0:c1] = acc_b.reshape(c1 - c0, oh, wq, n)[:, :, :ow] \
                 .transpose(3, 0, 1, 2)
     return out
@@ -432,6 +457,31 @@ def _nchw_sums(p: np.ndarray) -> np.ndarray:
     # partial is (n, rows) with rows innermost, and two or more rows where
     # n > 1: reducing its outer axis adds from +0 over the batch in order
     return np.add.reduce(partial, axis=0).reshape(t, c)
+
+
+def _channel_sums(x: np.ndarray) -> np.ndarray:
+    """Per-channel sums of an (n, c, h, w) array, bit for bit numpy's
+    ``x.sum(axis=(0, 2, 3))``; the module docstring states the order. Where
+    c > 1 and a run of h*w is under 8 elements, numpy adds each run in
+    sequence, so here the runs of all images and channels are added by one
+    slice each, over an (n, c) array, and the batch by one reduce of its
+    outer axis, which starts from +0 as numpy's does. Elsewhere it is
+    numpy's own sum, whose loops are long enough."""
+    n, c, h, w = x.shape
+    if c == 1 or h * w >= 8:
+        return x.sum(axis=(0, 2, 3))
+    runs = x.reshape(n, c, h * w)
+    part = runs[:, :, 0]
+    for i in range(1, h * w):
+        part = part + runs[:, :, i]
+    return np.add.reduce(part, axis=0)
+
+
+def _per_image(v: np.ndarray, h: int, w: int) -> np.ndarray:
+    """A per-channel vector laid out as one image's (c, h, w) block, so a
+    sweep of it over an (n, c, h, w) array runs one contiguous c*h*w row
+    per image rather than n*c rows of h*w."""
+    return np.repeat(v, h * w).reshape(-1, h, w)
 
 
 def _pointwise_nd(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -90,6 +90,11 @@ def label_smooth_ce(logits: np.ndarray, labels: np.ndarray, eps: float = 0.0
     return float(node.value)
 
 
+# the classes of make_synthetic_dataset and its longest pattern side
+_NUM_CLASSES = 3
+_MIN_IMAGE_SIZE = 16
+
+
 @dataclass(frozen=True)
 class ToyConfig:
     """Synthetic 3-class task plus the toy-run optimizer settings.
@@ -114,10 +119,14 @@ def make_synthetic_dataset(n: int, seed: int, image_size: int = 32,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """3-class images whose class is a spatially localized pattern shape:
     class 0 a filled square, class 1 a horizontal bar, class 2 a vertical
-    bar, stamped at a random position over Gaussian noise."""
+    bar, stamped at a random position over Gaussian noise. The bars are
+    16 pixels long, so ``image_size`` must be at least 16."""
+    if image_size < _MIN_IMAGE_SIZE:
+        raise ValueError(f"image_size must be >= {_MIN_IMAGE_SIZE}, the length "
+                         f"of the bar patterns, got {image_size}")
     rng = np.random.default_rng(seed)
     images = rng.normal(0.0, noise, size=(n, 3, image_size, image_size))
-    labels = rng.integers(0, 3, size=n)
+    labels = rng.integers(0, _NUM_CLASSES, size=n)
     for i in range(n):
         if labels[i] == 0:
             ph, pw = 8, 8
@@ -144,6 +153,7 @@ _CONFIG_RULES = (
     ("epochs", lambda v: v >= 1, ">= 1"),
     ("num_samples", lambda v: v >= 1, ">= 1"),
     ("batch_size", lambda v: v >= 1, ">= 1"),
+    ("image_size", lambda v: v >= _MIN_IMAGE_SIZE, f">= {_MIN_IMAGE_SIZE}"),
     ("base_lr", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
     ("noise", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
@@ -161,7 +171,8 @@ def train_toy(net_spec: NetworkSpec | None = None,
     Runs the first ``epochs`` epochs of the ``config.epochs``-epoch cosine
     schedule (``None``: all of it), so a shorter seeded run is a bitwise
     prefix of a longer one. Raises ``ToyConfigError`` before any step when
-    ``epochs`` or the config is out of range.
+    ``epochs`` or the config is out of range, or when ``net_spec`` is not
+    built for the data: another input resolution, or fewer than 3 classes.
 
     Accuracy is training accuracy over the epoch, measured on the forward
     pass used for each update step.
@@ -179,8 +190,16 @@ def train_toy(net_spec: NetworkSpec | None = None,
             f"got {epochs}")
     if net_spec is None:
         net_spec = hbonet_spec(width=0.25, divisor=2,
-                               resolution=config.image_size, num_classes=3,
-                               seed=seed)
+                               resolution=config.image_size,
+                               num_classes=_NUM_CLASSES, seed=seed)
+    if net_spec.input_resolution != config.image_size:
+        raise ToyConfigError(
+            f"the network is built for {net_spec.input_resolution}x"
+            f"{net_spec.input_resolution} inputs, the data are "
+            f"{config.image_size}x{config.image_size}")
+    if net_spec.num_classes < _NUM_CLASSES:
+        raise ToyConfigError(f"the data have {_NUM_CLASSES} classes, the network "
+                             f"{net_spec.num_classes}")
     net = build_network(net_spec)
     images, labels = make_synthetic_dataset(
         config.num_samples, seed + 1, config.image_size, config.noise)

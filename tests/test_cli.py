@@ -17,6 +17,26 @@ class TestAnalyze:
         assert rc == 0
         assert "MFLOPs" in out and "total" in out
 
+    # sha256 of `hbonet analyze --preset P --width W --resolution R` stdout:
+    # every row's MACs, parameters and shapes, and the totals
+    STDOUT = [
+        pytest.param("hbonet", "1.0", "224", "67a7ee75e31d1abf6e38ae8e991bb371"
+                     "18d858c583ac7a377640694afdb2335e", id="hbonet-1.0@224"),
+        pytest.param("hbonet", "0.25", "96", "0ee8a91506fd2c7ddd28fb19f9f385cb"
+                     "0a11e267542e77372a916b4079d1ebb7", id="hbonet-0.25@96"),
+        pytest.param("mobilenetv2", "1.0", "224", "f86e7fe14fbe27fded78739db1eb7ecc"
+                     "65e807622020eec696fb6ed15d5c124d", id="mobilenetv2-1.0@224"),
+        pytest.param("mobilenetv2", "0.25", "96", "6dc73e5379499335bf643e0111dc9a6a"
+                     "0b43ec6b4e8b0de9dc91a2cd5e51b8e8", id="mobilenetv2-0.25@96"),
+    ]
+
+    @pytest.mark.parametrize("preset,width,res,digest", STDOUT)
+    def test_stdout_is_pinned(self, preset, width, res, digest, capsys, pin_versions):
+        assert main(["analyze", "--preset", preset, "--width", width,
+                     "--resolution", res]) == 0
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == digest, f"analyze stdout changed (sha256 {got}); {pin_versions}"
+
     def test_expectation_within_tolerance(self, capsys):
         rc = main(["analyze", "--preset", "hbonet", "--width", "1.0",
                    "--resolution", "224", "--expect-mflops", "305",

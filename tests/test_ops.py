@@ -343,6 +343,39 @@ def test_nchw_sums_equal_numpy_sum(t, n, c, h, w, zeros, seed):
     assert got.tobytes() == want.tobytes()
 
 
+# the edge values of the per-channel sums: signed zeros, subnormals and
+# magnitudes whose 480-element sums stay finite
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e300, -1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), c=st.integers(1, 8),
+       hw=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (1, 5), (2, 3),
+                           (3, 2), (1, 7), (2, 4), (3, 3), (2, 5), (1, 11), (3, 4)]),
+       values=st.sampled_from(["normal", "edge", "mixed", "all negative zero"]),
+       first=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
+@example(n=32, c=72, hw=(2, 2), values="normal", first=0, seed=0)   # toy 2x2 layer
+@example(n=32, c=216, hw=(1, 1), values="normal", first=0, seed=1)  # toy 1x1 layer
+@example(n=2, c=1, hw=(1, 2), values="normal", first=0, seed=2)     # one merged run
+@example(n=3, c=4, hw=(2, 2), values="all negative zero", first=0, seed=3)
+def test_channel_sums_equal_numpy_sum(n, c, hw, values, first, seed):
+    """``ops._channel_sums`` and the means taken from it are numpy's
+    ``sum(axis=(0, 2, 3))`` and ``mean(axis=(0, 2, 3))`` bytes, on arrays
+    and on the channel slices a concat's gradient passes on (``first``
+    channels dropped); this fails if a numpy upgrade changes that order."""
+    rng = np.random.default_rng(seed)
+    shape = (n, c + first, *hw)
+    edge = rng.choice(_EDGE_VALUES, size=shape)
+    x = {"normal": rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape),
+         "edge": edge,
+         "mixed": np.where(rng.random(shape) < 0.5, edge, rng.normal(size=shape)),
+         "all negative zero": np.full(shape, -0.0)}[values][:, first:]
+    got = ops._channel_sums(x)
+    assert got.tobytes() == x.sum(axis=(0, 2, 3)).tobytes()
+    count = x.size // x.shape[1]
+    assert (got / count).tobytes() == x.mean(axis=(0, 2, 3)).tobytes()
+
+
 class TestPointwiseConv:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Optimizer math, loss, synthetic data, and short training-loop behavior.
 The full 40-epoch reference run lives in the acceptance suite."""
+import hashlib
 import io
 import math
 import tracemalloc
@@ -342,6 +343,74 @@ class TestToyStepBackward:
         """The same step once the tape drops each activation that neither a
         later op nor a VJP reads: 17.9 MB (20.7 MB before)."""
         assert self._step_peak_mb(batch) < 19
+
+
+class TestStepBits:
+    """The first step of ``train_toy(seed=0)``, pinned to the last bit."""
+
+    # sha256 of the loss's bytes followed by each parameter gradient's bytes,
+    # in ``parameters()`` order, for batch 32 of the default ToyConfig: the
+    # first batch of epoch 0 under seed 0. A kernel change that claims to
+    # keep every training bit is held to it; the 40-epoch log pin sees the
+    # same bits only after about 160 s.
+    STEP_SHA256 = "7310fb94542580932b712a6eafba9af6c908aa9cb70000ce35a711c5cb62a6f6"
+
+    def test_first_step_loss_and_gradients_are_pinned(self, pin_versions):
+        config = ToyConfig()
+        net = build_network(hbonet_spec(width=0.25, divisor=2,
+                                        resolution=config.image_size,
+                                        num_classes=3, seed=0))
+        images, labels = make_synthetic_dataset(
+            config.num_samples, 1, config.image_size, config.noise)
+        batch = np.random.default_rng(2).permutation(config.num_samples)[:config.batch_size]
+        tape = Tape()
+        logits = net.forward_node(tape.leaf(images[batch], "input"), tape,
+                                  training=True)
+        loss = tape.label_smooth_ce(logits, labels[batch], config.label_smoothing)
+        grads = {n.name: g for n, g in backward(tape, loss).items()}
+        digest = hashlib.sha256(np.float64(loss.value).tobytes())
+        for name in net.parameters():
+            digest.update(grads[name].tobytes())
+        got = digest.hexdigest()
+        assert got == self.STEP_SHA256, \
+            f"first toy step's loss or gradients changed (sha256 {got}); {pin_versions}"
+
+
+class TestNetworkFitsData:
+    """``train_toy`` checks its network against its data before building."""
+
+    @pytest.mark.parametrize("spec, image_size", [
+        (hbonet_spec(0.25, 32, divisor=2, num_classes=3), 64),
+        (hbonet_spec(0.25, 64, divisor=2, num_classes=3), 32),
+        (hbonet_spec(0.25, 32, divisor=2, num_classes=3), 8),
+        (hbonet_spec(0.25, 32, divisor=2, num_classes=2), 32),
+        (None, 8),
+    ], ids=["data-larger", "data-smaller", "data-under-16", "two-classes",
+            "default-net-under-16"])
+    def test_mismatch_rejected_before_build(self, monkeypatch, spec, image_size):
+        import hbonet.train as train_mod
+
+        def no_build(spec):
+            raise AssertionError("network built before the check")
+
+        monkeypatch.setattr(train_mod, "build_network", no_build)
+        config = ToyConfig(num_samples=8, batch_size=8, image_size=image_size)
+        with pytest.raises(ToyConfigError):
+            train_toy(spec, config, epochs=1)
+
+    def test_more_classes_than_the_data_train(self):
+        log = train_toy(hbonet_spec(0.25, 32, divisor=2, num_classes=4),
+                        ToyConfig(num_samples=8, batch_size=8), epochs=1)
+        assert len(log) == 1 and math.isfinite(log[0].loss)
+
+    @pytest.mark.parametrize("size", [1, 8, 15])
+    def test_dataset_needs_room_for_the_bars(self, size):
+        with pytest.raises(ValueError, match="image_size must be >= 16"):
+            make_synthetic_dataset(4, 0, image_size=size)
+
+    def test_dataset_at_the_bar_length(self):
+        images, labels = make_synthetic_dataset(16, 0, image_size=16)
+        assert images.shape == (16, 3, 16, 16) and set(labels) <= {0, 1, 2}
 
 
 class TestTruncatedSchedule:
