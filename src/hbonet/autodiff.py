@@ -19,7 +19,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ops as _ops
 from .tensor import DimensionError, Tensor, UnsupportedKernelError
@@ -256,29 +255,10 @@ class Tape:
 
     def conv2d(self, x: Node, w: Node, stride: int = 1, pad: int = 0) -> Node:
         """Dense convolution with zero padding; ``w`` holds (o, c, kh, kw)
-        weights (the stem). Depthwise weights go to :meth:`depthwise_conv`."""
+        weights (the stem), as one GEMM over the input's columns
+        (:meth:`_gemm_conv`). Depthwise weights go to :meth:`depthwise_conv`."""
         _conv2d_shape(x.shape, w.shape, stride, pad)
-        xv, wv = x.value, w.value
-        out = _ops._conv2d_nd(xv, wv, stride, pad)
-        kh, kw = wv.shape[2], wv.shape[3]
-
-        def vjp(g):
-            xp = _ops._pad_nd(xv, pad)
-            win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-            dw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
-            dxp = np.zeros_like(xp)
-            # scatter g through every kernel tap
-            gw = np.tensordot(g, wv, axes=([1], [0]))  # (n, oh, ow, c, kh, kw)
-            oh, ow = g.shape[2], g.shape[3]
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                        gw[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            h, wd = xv.shape[2], xv.shape[3]
-            dx = dxp[:, :, pad:pad + h, pad:pad + wd]
-            return dx, dw
-
-        return self._record(out, (x, w), vjp, "conv2d")
+        return self._gemm_conv(x, w, w.value, stride, pad, "conv2d")
 
     def depthwise_conv(self, x: Node, w: Node, stride: int = 1,
                        pad: int | None = None) -> Node:
@@ -329,22 +309,31 @@ class Tape:
         return self._record(out, (x, w), vjp, "depthwise_conv")
 
     def pointwise_conv(self, x: Node, w: Node) -> Node:
-        """1x1 conv; ``w`` holds a (c_out, c_in) matrix."""
+        """1x1 conv; ``w`` holds a (c_out, c_in) matrix: :meth:`conv2d`'s GEMM
+        with a (c_out, c_in, 1, 1) view of it, over the input as its columns."""
         _pointwise_shape(x.shape, w.shape)
-        xv, wv = x.value, w.value
-        out = _ops._pointwise_nd(xv, wv)
+        return self._gemm_conv(x, w, w.value[:, :, None, None], 1, 0, "pointwise_conv")
+
+    def _gemm_conv(self, x: Node, w: Node, wv: np.ndarray, stride: int,
+                   pad: int, name: str) -> Node:
+        """Dense and pointwise convolution, ``ops._conv2d_nd`` with the
+        (o, c, kh, kw) weights ``wv``, recorded as op ``name``. The VJP
+        holds g as an (o, n*oh*ow) matrix ``gm``: dw is ``gm`` times the
+        columns reshaped to (n*oh*ow, c*kh*kw), and dx ``ops._add_columns``
+        of the transposed weights times ``gm`` (layouts: ``hbonet.ops``)."""
+        xv = x.value
+        out = _ops._conv2d_nd(xv, wv, stride, pad)
 
         def vjp(g):
-            # the two contractions np.tensordot would make, sharing the one
-            # (o, n*h*w) copy of g it would make for each: np.dot gets the
-            # same operands in the same layouts, so BLAS gives the same bits
-            n, c, h, wd = xv.shape
-            gm = g.transpose(1, 0, 2, 3).reshape(wv.shape[0], -1)
-            dw = np.dot(gm, xv.transpose(0, 2, 3, 1).reshape(-1, c))
-            dx = np.dot(wv.T, gm).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
-            return np.ascontiguousarray(dx), dw
+            o, c, kh, kw = wv.shape
+            n, _, oh, ow = g.shape
+            gm = g.transpose(1, 0, 2, 3).reshape(o, -1)
+            dw = np.dot(gm, _ops._columns(xv, kh, kw, stride, pad)
+                        .transpose(3, 4, 5, 0, 1, 2).reshape(n * oh * ow, -1))
+            dcols = np.dot(wv.reshape(o, -1).T, gm).reshape(c, kh, kw, n, oh, ow)
+            return _ops._add_columns(dcols, xv.shape, stride, pad), dw.reshape(w.shape)
 
-        return self._record(out, (x, w), vjp, "pointwise_conv")
+        return self._record(out, (x, w), vjp, name)
 
     def relu6(self, x: Node, *, _out: np.ndarray | None = None) -> Node:
         """min(max(x, 0), 6), any shape. ``_out`` receives the value, so a

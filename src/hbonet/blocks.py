@@ -73,9 +73,6 @@ class BlockConfig:
     stride: int
     kind: BlockKind
     contraction_count: int = 1
-    # EltAdd endpoints inside the bottleneck are under-determined by the
-    # source material; None enables the residual whenever channels permit.
-    residual: bool | None = None
 
     def __post_init__(self):
         if self.stride not in (1, 2):
@@ -113,8 +110,7 @@ class BlockConfig:
     def use_residual(self) -> bool:
         if self.kind is BlockKind.INVERTED_RESIDUAL:
             return self.stride == 1 and self.c_in == self.c_out
-        if self.residual is not None:
-            return self.residual
+        # the source leaves the HBO EltAdd endpoints open: add whenever channels permit
         return self.c_in >= self.main_width
 
 

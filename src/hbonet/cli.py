@@ -74,7 +74,7 @@ def _network_spec(args) -> NetworkSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--spec {args.spec} is not JSON: {exc}") from exc
         name, stages = load_stage_table(doc)
-        divisor = args.divisor if args.divisor else default_divisor(args.width)
+        divisor = args.divisor if args.divisor else default_divisor(args.width, name)
         return NetworkSpec(name, stages, args.width, divisor, args.resolution,
                            args.num_classes, args.variant, args.seed)
     maker = {"hbonet": hbonet_spec, "mobilenetv2": mobilenetv2_spec}.get(args.preset)

@@ -98,12 +98,14 @@ class NetworkSpec:
     seed: int = 0
 
 
-def default_divisor(width: float) -> int:
-    """Channel divisibility policy: width 0.1 uses 4, widths 0.5/0.25 use 2,
-    everything else 8."""
+def default_divisor(width: float, name: str = "hbonet") -> int:
+    """Channel divisibility policy of the stage table called ``name`` at
+    ``width``: width 0.1 uses 4 and every other width 8, except that an
+    HBONet table (any table not named ``mobilenetv2``) uses 2 at widths
+    0.5 and 0.25."""
     if width == 0.1:
         return 4
-    if width in (0.5, 0.25):
+    if width in (0.5, 0.25) and name != "mobilenetv2":
         return 2
     return 8
 
@@ -180,7 +182,7 @@ def hbonet_spec(width: float = 1.0, resolution: int = 224,
                 variant: int = 1, seed: int = 0) -> NetworkSpec:
     name, stages = load_stage_table(preset_stage_table("hbonet"))
     return NetworkSpec(name, stages, width,
-                       default_divisor(width) if divisor is None else divisor,
+                       default_divisor(width, name) if divisor is None else divisor,
                        resolution, num_classes, variant, seed)
 
 
@@ -188,10 +190,9 @@ def mobilenetv2_spec(width: float = 1.0, resolution: int = 224,
                      divisor: int | None = None, num_classes: int = 1000,
                      seed: int = 0) -> NetworkSpec:
     name, stages = load_stage_table(preset_stage_table("mobilenetv2"))
-    if divisor is None:
-        divisor = 4 if width == 0.1 else 8
-    return NetworkSpec(name, stages, width, divisor, resolution, num_classes,
-                       1, seed)
+    return NetworkSpec(name, stages, width,
+                       default_divisor(width, name) if divisor is None else divisor,
+                       resolution, num_classes, 1, seed)
 
 
 # ---------------------------------------------------------------------------

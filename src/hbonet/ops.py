@@ -9,22 +9,24 @@ taped values are one computation; they check only the ``ConvKernel`` fields
 (groups, c_out, kernel size) that the tape never sees. Every convolution path is
 tested against ``conv2d_oracle`` at 1e-12.
 
-Dense and pointwise convolution are each one ``np.matmul`` oriented so
+Dense and pointwise convolution are one GEMM (``_conv2d_nd``) oriented so
 that BLAS writes NCHW: the (o, k) weight matrix times channel-major
-(k, n*oh*ow) columns gives (o, n*oh*ow), whose two outer axes swap into
-NCHW, a move of nothing at n == 1. The dense conv's columns are one
-strided copy per kernel tap; pointwise's are the input itself, a view at
-n == 1. The orientation sets the dense conv's bits: on OpenBLAS 0.3.31
-the transposed product, (n*oh*ow, k) by (k, o), gives the same bits
-wherever n*oh*ow is a multiple of 8 and o <= 32, as in every HBONet stem
-and MobileNetV2's at a resolution that is a multiple of 8; the logit pins
-in the tests rely on it. Elsewhere OpenBLAS may round the two
-orientations differently on products under about 10^6 multiply-adds:
-MobileNetV2 at resolution 33, say, or the finite-difference check's
-(2, 3, 6, 6) conv. The stem's VJP is two ``tensordot`` contractions; the
-pointwise VJP makes the two ``np.dot`` calls that ``tensordot`` would make,
-on the same operands in the same layouts, so the bits are the same, but
-copies g into its (o, n*h*w) matrix once for both.
+(k, n*oh*ow) columns gives (o, n*oh*ow), whose two outer axes swap into NCHW,
+a move of nothing at n == 1. The columns (``_columns``) are a strided view
+of the padded input, one window per kernel tap, and ``_add_columns``,
+their adjoint, scatters the VJP's column gradients into dx. Each GEMM
+operand's layout sets its bits. A pointwise conv (1x1, stride 1, no
+padding) multiplies numpy's reshape of the input's channel-major view: a
+view where numpy can merge its axes (at n == 1, say), a C-contiguous copy
+otherwise. Every other geometry multiplies a C-contiguous copy, and the
+VJP's dw takes the columns as numpy reshapes them to (n*oh*ow, k). The
+orientation sets the dense conv's bits: on OpenBLAS 0.3.31 the transposed
+product, (n*oh*ow, k) by (k, o), gives the same bits wherever n*oh*ow is a
+multiple of 8 and o <= 32, as in every HBONet stem and MobileNetV2's at a
+resolution that is a multiple of 8; the logit pins in the tests rely on
+it. Elsewhere OpenBLAS may round the two orientations differently on
+products under about 10^6 multiply-adds: MobileNetV2 at resolution 33,
+say, or the finite-difference check's (2, 3, 6, 6) conv.
 
 Tensors are NCHW at every interface. Inside, depthwise convolution and
 its VJP turn each kernel tap into long numpy sweeps over one layout: the
@@ -212,27 +214,50 @@ def _pad_nd(x: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _conv2d_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Dense (groups == 1) convolution as one GEMM that writes NCHW.
+def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """The channel-major (c, kh, kw, n, oh, ow) columns of a kh x kw conv
+    over NCHW ``x``, a strided view of the zero-padded input: column (c, i, j)
+    is the window tap (i, j) reads from channel c. A 1x1 kernel at stride 1
+    without padding skips the window view's Python cost: a view of ``x``."""
+    if (kh, kw, stride, pad) == (1, 1, 1, 0):
+        return x.transpose(1, 0, 2, 3)[:, None, None]
+    win = sliding_window_view(_pad_nd(x, pad), (kh, kw), axis=(2, 3))
+    return win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
 
-    The columns are channel-major, (c, kh, kw, n, oh, ow): one strided copy
-    of the padded input per kernel tap. ``w`` as an (o, c*kh*kw) matrix
-    times them gives (o, n*oh*ow), which is NCHW once its two outer axes
-    swap; at n == 1 that swap moves nothing. Each output's c*kh*kw
-    products are in (c, kh, kw) order, as in the transposed
-    (n*oh*ow, c*kh*kw) by (c*kh*kw, o) product; the module docstring says
-    where BLAS gives the two orientations the same bits."""
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    oh, ow = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
-    xp = _pad_nd(x, pad)
-    cols = np.empty((c, kh, kw, n, oh, ow))
+
+def _add_columns(cols: np.ndarray, shape: tuple, stride: int, pad: int) -> np.ndarray:
+    """The adjoint of ``_columns``: the (n, c, h, w) array ``shape`` whose
+    every pixel sums the entries of the (c, kh, kw, n, oh, ow) ``cols``
+    that read it. Each tap is added into a zero-padded array in i-major
+    order, and the padding is cropped. For a 1x1 kernel at stride 1
+    without padding this is the plain reshape, as a C-contiguous copy."""
+    n, c, h, w = shape
+    _, kh, kw, _, oh, ow = cols.shape
+    if (kh, kw, stride, pad) == (1, 1, 1, 0):
+        return np.ascontiguousarray(cols.reshape(c, n, h, w).transpose(1, 0, 2, 3))
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride,
-                               j:j + stride * ow:stride].transpose(1, 0, 2, 3)
-    del xp      # the padded copy is freed before the GEMM allocates
-    out = np.matmul(w.reshape(o, -1), cols.reshape(c * kh * kw, -1))
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                cols[:, i, j].transpose(1, 0, 2, 3)
+    return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def _conv2d_nd(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """Dense (groups == 1) convolution, pointwise included, as one GEMM
+    that writes NCHW: ``w`` as an (o, c*kh*kw) matrix times the
+    ``_columns`` as a (c*kh*kw, n*oh*ow) matrix (layouts: module docstring)
+    gives (o, n*oh*ow), NCHW once its two outer axes swap, a move of nothing
+    at n == 1. Each output's c*kh*kw products are in (c, kh, kw) order, as
+    in the transposed (n*oh*ow, c*kh*kw) by (c*kh*kw, o) product; the module
+    docstring says where BLAS gives the two orientations the same bits."""
+    o, c, kh, kw = w.shape
+    cols = _columns(x, kh, kw, stride, pad)
+    n, oh, ow = cols.shape[3:]
+    cols = cols.reshape(c * kh * kw, -1)
+    if (kh, kw, stride, pad) != (1, 1, 1, 0):   # a copy: frees the padded input
+        cols = np.ascontiguousarray(cols)
+    out = np.matmul(w.reshape(o, -1), cols)
     return np.ascontiguousarray(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
 
 
@@ -482,18 +507,6 @@ def _per_image(v: np.ndarray, h: int, w: int) -> np.ndarray:
     sweep of it over an (n, c, h, w) array runs one contiguous c*h*w row
     per image rather than n*c rows of h*w."""
     return np.repeat(v, h * w).reshape(-1, h, w)
-
-
-def _pointwise_nd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise (1x1) convolution as one GEMM that writes NCHW; w has
-    shape (c_out, c_in).
-
-    ``w`` times the input as a (c_in, n*h*w) matrix gives (c_out, n*h*w),
-    which is NCHW once its two outer axes swap. At n == 1 the input matrix
-    is a view and the swap moves nothing; a batch costs one copy of each."""
-    n, c, h, wd = x.shape
-    out = np.matmul(w, x.transpose(1, 0, 2, 3).reshape(c, -1))
-    return np.ascontiguousarray(out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3))
 
 
 def _relu6_nd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

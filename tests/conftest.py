@@ -1,3 +1,6 @@
+# hbonet first: it hands a caller's HBONET_NUM_THREADS to the BLAS pools
+# only if it is imported before numpy loads
+import hbonet  # noqa: F401
 import numpy as np
 import pytest
 

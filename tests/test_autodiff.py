@@ -288,8 +288,7 @@ class TestInferenceRelease:
                       "body_dw": {"expand_pw"}, "reduce_pw": {"expand_pw"},
                       "smooth_dw": set()}, id="hbo-stride2-residual"),
         pytest.param(hbo_forward_node,
-                     BlockConfig(8, 16, 2, 1, BlockKind.HARMONIOUS_BOTTLENECK,
-                                 residual=False),
+                     BlockConfig(8, 20, 2, 1, BlockKind.HARMONIOUS_BOTTLENECK),
                      {"contract_dw": set(), "expand_pw": {"contract_dw"},
                       "body_dw": {"contract_dw"}, "reduce_pw": {"contract_dw"},
                       "smooth_dw": {"contract_dw"}}, id="hbo-stride1-no-residual"),

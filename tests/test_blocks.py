@@ -74,10 +74,6 @@ class TestBlockConfig:
         assert cfg.main_width == 80
         assert not cfg.use_residual
 
-    def test_residual_flag_override(self):
-        cfg = BlockConfig(8, 8, 2, 1, HBO, residual=False)
-        assert not cfg.use_residual
-
 
 class TestLayerTable:
     def test_hbo_shapes_follow_config(self):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hbonet.cli import build_parser, main
-from hbonet.network import load_stage_table
+from hbonet.network import SUPPORTED_WIDTHS, load_stage_table
 from hbonet.train import ToyConfig
 
 
@@ -85,6 +85,21 @@ class TestAnalyze:
         rc = main(["analyze", "--spec", str(path), "--resolution", "64",
                    "--num-classes", "4"])
         assert rc == 0
+
+    @pytest.mark.parametrize("width", [str(w) for w in SUPPORTED_WIDTHS])
+    @pytest.mark.parametrize("preset", ["hbonet", "mobilenetv2"])
+    def test_dumped_table_builds_the_preset(self, preset, width, tmp_path, capsys):
+        """A table written by ``dump-spec`` and read back by ``--spec`` gets
+        its preset's divisor policy, so it builds the preset's network: the
+        same ledger at every supported width."""
+        assert main(["dump-spec", "--preset", preset]) == 0
+        path = tmp_path / f"{preset}.json"
+        path.write_text(capsys.readouterr().out)
+        flags = ["--width", width, "--resolution", "160"]
+        assert main(["analyze", "--preset", preset, *flags]) == 0
+        want = capsys.readouterr().out
+        assert main(["analyze", "--spec", str(path), *flags]) == 0
+        assert capsys.readouterr().out == want
 
     def test_malformed_spec_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -90,6 +90,9 @@ class TestWidthScaling:
         assert default_divisor(0.5) == 2
         assert default_divisor(0.35) == 8
         assert default_divisor(1.0) == 8
+        assert default_divisor(0.1, "mobilenetv2") == 4
+        assert default_divisor(0.5, "mobilenetv2") == 8
+        assert default_divisor(0.25, "mobilenetv2") == 8
 
 
 class TestForward:

@@ -468,9 +468,157 @@ def test_gemm_kernels_match_oracle_into_fresh_arrays(n, c, o, kh, kw, stride,
              conv2d_oracle(X, ConvKernel(point[:, :, None, None]), 1, 0))):
         assert tensor_equal_within(got, want, 1e-12)
     for out, wt in ((ops._conv2d_nd(x, dense, stride, pad), dense),
-                    (ops._pointwise_nd(x, point), point)):
+                    (ops._conv2d_nd(x, point[:, :, None, None], 1, 0), point)):
         assert out.flags.c_contiguous and out.flags.writeable
         assert not (np.shares_memory(out, x) or np.shares_memory(out, wt))
+
+
+def _conv2d_vjp_reference(x, w, g, stride, pad):
+    """(dx, dw) of a dense conv from two ``np.tensordot`` contractions over
+    a window view of the padded input, then a per-tap scatter of g times
+    the weights into a padded dx, i-major: the bitwise reference for
+    ``Tape.conv2d``'s dw; its dx orients the weight GEMM the other way."""
+    kh, kw = w.shape[2], w.shape[3]
+    xp = ops._pad_nd(x, pad)
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    dw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    dxp = np.zeros_like(xp)
+    gw = np.tensordot(g, w, axes=([1], [0]))   # (n, oh, ow, c, kh, kw)
+    oh, ow = g.shape[2], g.shape[3]
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                gw[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    h, wd = x.shape[2], x.shape[3]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw
+
+
+def _pointwise_vjp_reference(x, w, g):
+    """(dx, dw) of a pointwise conv from the two ``np.dot`` calls that
+    ``np.tensordot`` would make, on g as an (o, n*h*w) matrix: the bitwise
+    reference for ``Tape.pointwise_conv``'s VJP; w has shape (o, c)."""
+    n, c, h, wd = x.shape
+    gm = g.transpose(1, 0, 2, 3).reshape(w.shape[0], -1)
+    dw = np.dot(gm, x.transpose(0, 2, 3, 1).reshape(-1, c))
+    dx = np.dot(w.T, gm).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+    return dx, dw
+
+
+def _gemm_conv_reference(x, w, stride, pad):
+    """A dense conv as one GEMM over a C-contiguous copy of its columns,
+    gathered one kernel tap at a time, and a pointwise conv ((o, c) weights)
+    over numpy's reshape of the input's channel-major view: the bitwise
+    reference for ``ops._conv2d_nd``."""
+    n, c, h, wd = x.shape
+    if w.ndim == 2:
+        out = np.matmul(w, x.transpose(1, 0, 2, 3).reshape(c, -1))
+        return np.ascontiguousarray(out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3))
+    o, _, kh, kw = w.shape
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    xp = ops._pad_nd(x, pad)
+    cols = np.empty((c, kh, kw, n, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride,
+                               j:j + stride * ow:stride].transpose(1, 0, 2, 3)
+    out = np.matmul(w.reshape(o, -1), cols.reshape(c * kh * kw, -1))
+    return np.ascontiguousarray(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
+
+
+def _add_columns_reference(cols, shape, stride, pad):
+    """Each input pixel's sum, from +0, of the column entries that read it,
+    taps i-major: one tap and output position at a time, padding skipped.
+    The bitwise reference for ``ops._add_columns``."""
+    n, c, h, w = shape
+    _, kh, kw, _, oh, ow = cols.shape
+    dx = np.zeros(shape)
+    for i in range(kh):
+        for j in range(kw):
+            for r in range(oh):
+                for q in range(ow):
+                    row, col = r * stride + i - pad, q * stride + j - pad
+                    if 0 <= row < h and 0 <= col < w:
+                        dx[:, :, row, col] += cols[:, i, j, :, r, q].T
+    return dx
+
+
+class TestGemmConvVjp:
+    """``Tape.conv2d`` and ``Tape.pointwise_conv`` share one GEMM and one
+    VJP. Their outputs, dw of both ops and the pointwise dx are the bytes
+    of the references; the dense dx, whose weight GEMM runs the other way,
+    is within 1e-12. ``ops._add_columns`` is byte for byte the i-major
+    scatter. A dense 1x1 kernel at stride 1 without padding runs the
+    pointwise path, so its output is not compared with the dense
+    reference's bytes, which it differs from over 1x1 maps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 3, 32]), c=st.integers(1, 4), o=st.integers(1, 8),
+           kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 2),
+           pad=st.integers(0, 2), h=st.integers(1, 9), w=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 16))
+    # the stems of the toy step and of 1.0@224, and the gradient check's conv
+    @example(n=32, c=3, o=8, kh=3, kw=3, stride=2, pad=1, h=32, w=32, seed=0)
+    @example(n=1, c=3, o=32, kh=3, kw=3, stride=2, pad=1, h=224, w=224, seed=4)
+    @example(n=2, c=3, o=4, kh=3, kw=3, stride=2, pad=1, h=6, w=6, seed=1)
+    @example(n=3, c=2, o=5, kh=1, kw=1, stride=1, pad=0, h=4, w=3, seed=2)
+    # columns whose matrix numpy reshapes to a view that is not C-contiguous
+    @example(n=1, c=1, o=1, kh=1, kw=2, stride=1, pad=0, h=1, w=3, seed=3)
+    def test_dense(self, n, c, o, kh, kw, stride, pad, h, w, seed):
+        assume(kh <= h + 2 * pad and kw <= w + 2 * pad)
+        rng = np.random.default_rng(seed)
+        x, wt = rng.normal(size=(n, c, h, w)), rng.normal(size=(o, c, kh, kw))
+        tape = Tape()
+        y = tape.conv2d(tape.leaf(x), tape.leaf(wt), stride, pad)
+        if (kh, kw, stride, pad) != (1, 1, 1, 0):
+            assert y.value.tobytes() == _gemm_conv_reference(x, wt, stride, pad).tobytes()
+        g = rng.normal(size=y.shape)
+        dx, dw = y.vjp(g)
+        want_dx, want_dw = _conv2d_vjp_reference(x, wt, g, stride, pad)
+        assert dw.shape == want_dw.shape and dw.tobytes() == want_dw.tobytes()
+        assert dx.shape == want_dx.shape
+        assert np.max(np.abs(dx - want_dx)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 3, 32]), c=st.integers(1, 12),
+           o=st.integers(1, 12), h=st.integers(1, 9), w=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=32, c=8, o=16, h=16, w=16, seed=0)
+    @example(n=32, c=8, o=16, h=1, w=1, seed=1)     # an F-ordered column view
+    def test_pointwise(self, n, c, o, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x, wt = rng.normal(size=(n, c, h, w)), rng.normal(size=(o, c))
+        tape = Tape()
+        y = tape.pointwise_conv(tape.leaf(x), tape.leaf(wt))
+        assert y.value.tobytes() == _gemm_conv_reference(x, wt, 1, 0).tobytes()
+        g = rng.normal(size=y.shape)
+        dx, dw = y.vjp(g)
+        want_dx, want_dw = _pointwise_vjp_reference(x, wt, g)
+        assert dw.shape == want_dw.shape and dw.tobytes() == want_dw.tobytes()
+        assert dx.flags.c_contiguous
+        assert dx.shape == want_dx.shape and dx.tobytes() == want_dx.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 3]), c=st.integers(1, 3),
+           kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 2),
+           pad=st.integers(0, 2), h=st.integers(1, 7), w=st.integers(1, 7),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=1, c=1, kh=3, kw=3, stride=1, pad=1, h=5, w=5, seed=0)
+    def test_add_columns_is_the_adjoint_scatter(self, n, c, kh, kw, stride, pad,
+                                                h, w, seed):
+        """``_add_columns`` equals the i-major reference byte for byte, and is
+        the adjoint of ``_columns``: <cols(x), C> == <x, add_columns(C)>."""
+        assume(kh <= h + 2 * pad and kw <= w + 2 * pad)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w))
+        cols = ops._columns(x, kh, kw, stride, pad)
+        d = rng.normal(size=cols.shape)
+        got = ops._add_columns(d, x.shape, stride, pad)
+        assert got.tobytes() == np.ascontiguousarray(
+            _add_columns_reference(d, x.shape, stride, pad)).tobytes()
+        assert np.isclose(np.vdot(cols, d), np.vdot(x, got), rtol=1e-12)
+        if (kh, kw, stride, pad) == (1, 1, 1, 0):
+            assert np.shares_memory(cols, x)
 
 
 _GEOMETRY_CALLS = {
