@@ -52,13 +52,12 @@ from .network import (
     Network,
     NetworkSpec,
     StageSpec,
-    build_hbonet,
-    build_mobilenetv2,
     build_network,
     default_divisor,
     forward,
     hbonet_spec,
     mobilenetv2_spec,
+    network_spec,
     trace_shapes,
 )
 from .complexity import CostLedger, cost_hbo, cost_separable, ledger

@@ -37,9 +37,9 @@ class Node:
     ``None`` for an op's output on a grad-disabled tape, which links no node
     to another. An interior node holds its value only while the forward may
     still read it: :meth:`Tape.release` drops it once no later op reads it,
-    on either kind of tape, and on a recording tape an op writing into it
-    through ``_out`` takes the array over. VJPs keep what their closures
-    captured, and ``backward`` keeps values."""
+    on either kind of tape, and an op writing into it through ``_out``
+    takes the array over. VJPs keep what their closures captured, and
+    ``backward`` keeps values."""
 
     __slots__ = ("value", "parents", "vjp", "grad", "name")
 
@@ -198,6 +198,12 @@ _SHAPE_RULES = {
 }
 
 
+def _dense_view(wv: np.ndarray) -> np.ndarray:
+    """Dense (o, c, kh, kw) weights as they are, a pointwise (o, c) matrix
+    as its (o, c, 1, 1) view."""
+    return wv if wv.ndim == 4 else wv[:, :, None, None]
+
+
 # Elements of the depthwise VJP's product buffer (512 KB, so it stays in a
 # typical L2 cache): the taps whose g * x products fit in it are summed into
 # dw together. On the toy network's layers, 2**15 and 2**17 timed slower.
@@ -218,24 +224,24 @@ class Tape:
         return node
 
     def _check_out(self, x: Node, out) -> None:
-        """With grad disabled ``_out`` may be any array the caller owns. On a
-        recording tape it must be the value of the op's own interior input
-        ``x``, which no op that takes ``_out`` reads in its VJP: the caller
-        vouches that no other recorded op reads that array either, and the
-        new node takes it over from ``x`` (:class:`Node`). The block forwards
-        rely on this for the conv-BN-ReLU6 layers and the residual
-        :meth:`eltadd`, which writes into the ``reduce_pw`` layer's output."""
-        if out is None or not self.grad_enabled:
-            return
-        if not x.parents or out is not x.value:
-            raise ValueError("on a recording tape _out must be the value of "
-                             "the op's own interior input node, not a leaf's")
+        """On either kind of tape ``_out`` must be the value of the op's own
+        interior input ``x``, which no op that takes ``_out`` reads in its
+        VJP: the caller vouches that no other op reads that array either,
+        and the new node takes it over from ``x`` (:class:`Node`), so a
+        later read of ``x`` raises rather than sees the overwritten array.
+        The block forwards rely on this for the conv-BN-ReLU6 layers and the
+        residual :meth:`eltadd`, which writes into the ``reduce_pw`` layer's
+        output."""
+        if out is not None and (x.parents == () or out is not x.value):
+            raise ValueError("_out must be the value of the op's own "
+                             "interior input node")
 
     def _record(self, value, parents, vjp, name, takes_x=False) -> Node:
-        if not self.grad_enabled:
-            return Node(value, None, None, name)
-        node = Node(value, tuple(parents), vjp, name)
-        self.nodes.append(node)
+        if self.grad_enabled:
+            node = Node(value, tuple(parents), vjp, name)
+            self.nodes.append(node)
+        else:
+            node = Node(value, None, None, name)
         return self.release(node, parents[0]) if takes_x else node
 
     def release(self, out: Node, *spent: Node) -> Node:
@@ -258,7 +264,7 @@ class Tape:
         weights (the stem), as one GEMM over the input's columns
         (:meth:`_gemm_conv`). Depthwise weights go to :meth:`depthwise_conv`."""
         _conv2d_shape(x.shape, w.shape, stride, pad)
-        return self._gemm_conv(x, w, w.value, stride, pad, "conv2d")
+        return self._gemm_conv(x, w, stride, pad, "conv2d")
 
     def depthwise_conv(self, x: Node, w: Node, stride: int = 1,
                        pad: int | None = None) -> Node:
@@ -312,34 +318,36 @@ class Tape:
         """1x1 conv; ``w`` holds a (c_out, c_in) matrix: :meth:`conv2d`'s GEMM
         with a (c_out, c_in, 1, 1) view of it, over the input as its columns."""
         _pointwise_shape(x.shape, w.shape)
-        return self._gemm_conv(x, w, w.value[:, :, None, None], 1, 0, "pointwise_conv")
+        return self._gemm_conv(x, w, 1, 0, "pointwise_conv")
 
-    def _gemm_conv(self, x: Node, w: Node, wv: np.ndarray, stride: int,
-                   pad: int, name: str) -> Node:
+    def _gemm_conv(self, x: Node, w: Node, stride: int, pad: int, name: str) -> Node:
         """Dense and pointwise convolution, ``ops._conv2d_nd`` with the
-        (o, c, kh, kw) weights ``wv``, recorded as op ``name``. The VJP
+        (o, c, kh, kw) weights that ``w`` holds or, for a pointwise (o, c)
+        matrix, their (o, c, 1, 1) view, recorded as op ``name``. The VJP
         holds g as an (o, n*oh*ow) matrix ``gm``: dw is ``gm`` times the
         columns reshaped to (n*oh*ow, c*kh*kw), and dx ``ops._add_columns``
-        of the transposed weights times ``gm`` (layouts: ``hbonet.ops``)."""
-        xv = x.value
-        out = _ops._conv2d_nd(xv, wv, stride, pad)
+        of the transposed weights times ``gm`` (layouts: ``hbonet.ops``).
+        Its closure keeps ``x.value``, ``w.value``, ``stride`` and ``pad``,
+        and forms the view again when it runs."""
+        xv, wv = x.value, w.value
+        out = _ops._conv2d_nd(xv, _dense_view(wv), stride, pad)
 
         def vjp(g):
-            o, c, kh, kw = wv.shape
+            o, c, kh, kw = _dense_view(wv).shape
             n, _, oh, ow = g.shape
             gm = g.transpose(1, 0, 2, 3).reshape(o, -1)
             dw = np.dot(gm, _ops._columns(xv, kh, kw, stride, pad)
                         .transpose(3, 4, 5, 0, 1, 2).reshape(n * oh * ow, -1))
             dcols = np.dot(wv.reshape(o, -1).T, gm).reshape(c, kh, kw, n, oh, ow)
-            return _ops._add_columns(dcols, xv.shape, stride, pad), dw.reshape(w.shape)
+            return _ops._add_columns(dcols, xv.shape, stride, pad), dw.reshape(wv.shape)
 
         return self._record(out, (x, w), vjp, name)
 
     def relu6(self, x: Node, *, _out: np.ndarray | None = None) -> Node:
         """min(max(x, 0), 6), any shape. ``_out`` receives the value, so a
-        caller that owns ``x.value`` can pass it and skip an allocation; on
-        a recording tape it must be ``x.value`` of an interior ``x`` (see
-        :meth:`_check_out`), since the VJP reads only the mask."""
+        caller that owns ``x.value`` can pass it and skip an allocation; it
+        must be ``x.value`` of an interior ``x``, which the new node takes
+        over (see :meth:`_check_out`), since the VJP reads only the mask."""
         self._check_out(x, _out)
         xv = x.value
         # subgradient 0 at both kinks; only a recorded node needs the mask,
@@ -360,8 +368,8 @@ class Tape:
         ``p``'s running stats in place, running <- (1 - momentum)*running +
         momentum*batch. Inference mode folds the running statistics into
         x * scale + shift. In both modes the VJP reads only ``inv`` and
-        ``xhat``, taken before ``_out`` is written, so on a recording tape
-        the batch norm may write into its input."""
+        ``xhat``, taken before ``_out`` is written, so on either kind of
+        tape the batch norm may write into its input."""
         self._check_out(x, _out)
         _batchnorm_shape(x.shape, gamma.shape, beta.shape, p)
         xv, gv, bv = x.value, gamma.value, beta.value
@@ -468,9 +476,9 @@ class Tape:
         return self._record(out, (x,), vjp, "take_first_channels")
 
     def eltadd(self, a: Node, b: Node, *, _out: np.ndarray | None = None) -> Node:
-        """a + b. ``_out`` receives the sum as in :meth:`relu6`; on a
-        recording tape it must be ``a.value`` of an interior ``a`` (see
-        :meth:`_check_out`), since the VJP reads neither operand."""
+        """a + b. ``_out`` receives the sum as in :meth:`relu6`; it must be
+        ``a.value`` of an interior ``a`` (see :meth:`_check_out`), since the
+        VJP reads neither operand."""
         self._check_out(a, _out)
         _eltadd_shape(a.shape, b.shape)
         out = np.add(a.value, b.value, out=_out)

@@ -19,11 +19,8 @@ from .gradcheck import run_gradient_checks
 from .network import (
     NetworkSpec,
     build_network,
-    default_divisor,
     forward,
-    hbonet_spec,
-    load_stage_table,
-    mobilenetv2_spec,
+    network_spec,
     preset_stage_table,
     trace_shapes,
 )
@@ -38,11 +35,9 @@ def _writable(path: str) -> bool:
 
 
 # (argument, test, requirement) for the numeric and output-path flags, checked
-# before any work: a bad value exits 2 with one line, not a traceback or a lost run
+# before any work: a bad value exits 2 with one line, not a traceback or a lost
+# run. The network flags are checked by the NetworkSpec they build.
 _FLAG_RULES = (
-    ("width", lambda v: 0 < v < math.inf, "a positive finite number"),
-    ("divisor", lambda v: v in (0, 2, 4, 8), "0 (the default policy), 2, 4 or 8"),
-    ("num_classes", lambda v: v >= 1, ">= 1"),
     ("batch", lambda v: v >= 1, ">= 1"),
     ("seed", lambda v: v >= 0, ">= 0"),
     ("expect_mflops", lambda v: 0 < v < math.inf, "a positive finite number"),
@@ -64,31 +59,21 @@ def _check_flags(args) -> None:
 
 
 def _network_spec(args) -> NetworkSpec:
+    table = args.preset
     if getattr(args, "spec", None):
         try:
             with open(args.spec) as fp:
-                doc = json.load(fp)
+                table = json.load(fp)
         except OSError as exc:
             raise ConfigError(f"cannot read --spec {args.spec}: "
                               f"{exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--spec {args.spec} is not JSON: {exc}") from exc
-        name, stages = load_stage_table(doc)
-        divisor = args.divisor if args.divisor else default_divisor(args.width, name)
-        return NetworkSpec(name, stages, args.width, divisor, args.resolution,
-                           args.num_classes, args.variant, args.seed)
-    maker = {"hbonet": hbonet_spec, "mobilenetv2": mobilenetv2_spec}.get(args.preset)
-    if maker is None:
-        raise ConfigError(f"unknown preset {args.preset!r}")
-    kwargs = dict(width=args.width, resolution=args.resolution,
-                  divisor=args.divisor or None, num_classes=args.num_classes,
-                  seed=args.seed)
-    if args.preset == "hbonet":
-        kwargs["variant"] = args.variant
-    elif args.variant != 1:
+    elif args.preset == "mobilenetv2" and args.variant != 1:
         raise ConfigError(f"--variant applies to the hbonet preset only, "
                           f"got {args.variant} for {args.preset}")
-    return maker(**kwargs)
+    return network_spec(table, args.width, args.resolution, args.divisor or None,
+                        args.num_classes, args.variant, args.seed)
 
 
 def _add_network_flags(p):
@@ -167,9 +152,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     config = ToyConfig(num_samples=args.samples, batch_size=args.batch_size,
                        base_lr=args.lr, label_smoothing=args.label_smoothing)
-    spec = hbonet_spec(width=args.width, resolution=config.image_size,
-                       divisor=args.divisor or 2, num_classes=3,
-                       seed=args.seed)
+    spec = network_spec("hbonet", args.width, config.image_size,
+                        args.divisor or None, num_classes=3, seed=args.seed)
     log = train_toy(spec, config, epochs=args.epochs, seed=args.seed)
     for row in log:
         print(f"epoch {row.epoch:3d}  lr {row.lr:.5f}  loss {row.loss:.4f}  "
@@ -226,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=toy.num_samples)
     p.add_argument("--width", type=float, default=0.25)
-    p.add_argument("--divisor", type=int, default=2)
+    p.add_argument("--divisor", type=int, default=0,
+                   help="channel divisor (default: policy by width)")
     p.add_argument("--batch-size", type=int, default=toy.batch_size)
     p.add_argument("--lr", type=float, default=toy.base_lr)
     p.add_argument("--label-smoothing", type=float,

@@ -8,12 +8,14 @@ record per convolution (MACs, parameters, input and output shape); the
 complexity ledger, :func:`trace_shapes` and :meth:`Network.conv_layers` read
 those records.
 
-Canonical stage tables ship as JSON documents under ``hbonet/specs``; the CLI
-presets and the builder convenience constructors read them from there.
+Canonical stage tables ship as JSON documents under ``hbonet/specs``.
+:func:`network_spec` is the one path from a preset name or a stage-table
+document to a :class:`NetworkSpec`; each spec dataclass checks its own fields.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -41,11 +43,10 @@ __all__ = [
     "default_divisor",
     "load_stage_table",
     "preset_stage_table",
+    "network_spec",
     "hbonet_spec",
     "mobilenetv2_spec",
     "build_network",
-    "build_hbonet",
-    "build_mobilenetv2",
     "forward",
     "trace_shapes",
 ]
@@ -80,6 +81,10 @@ class StageSpec:
         if not isinstance(self.width_exempt, bool):
             raise ConfigError(
                 f"'width_exempt' must be true or false, got {self.width_exempt!r}")
+        if self.c is None and self.op not in ("avgpool", "classifier"):
+            raise ConfigError(f"operator {self.op!r} needs 'c'")
+        if self.t is None and self.op in ("hbo", "inverted_residual"):
+            raise ConfigError(f"operator {self.op!r} needs 't'")
 
 
 def _is_int(value) -> bool:
@@ -88,6 +93,9 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A stage table with the width, channel divisor, input resolution,
+    class count, contraction variant and weight seed to build it at."""
+
     name: str
     stages: tuple[StageSpec, ...]
     width: float = 1.0
@@ -96,6 +104,18 @@ class NetworkSpec:
     num_classes: int = 1000
     contraction_variant: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if isinstance(self.width, bool) or not (isinstance(self.width, (int, float))
+                                                and 0 < self.width < math.inf):
+            raise ConfigError(f"'width' must be a positive finite number, got {self.width!r}")
+        if not _is_int(self.divisor) or self.divisor not in (2, 4, 8):
+            raise ConfigError(f"'divisor' must be 2, 4 or 8, got {self.divisor!r}")
+        for key, least in (("input_resolution", 32), ("num_classes", 1),
+                           ("contraction_variant", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if not (_is_int(value) and value >= least):
+                raise ConfigError(f"'{key}' must be an integer >= {least}, got {value!r}")
 
 
 def default_divisor(width: float, name: str = "hbonet") -> int:
@@ -111,9 +131,7 @@ def default_divisor(width: float, name: str = "hbonet") -> int:
 
 
 def _scale_channels(c: int, spec: NetworkSpec, exempt: bool) -> int:
-    if spec.width == 1.0:
-        return c
-    if exempt and spec.width < 1.0:
+    if spec.width == 1.0 or (exempt and spec.width < 1.0):
         return c
     return make_divisible(c * spec.width, spec.divisor)
 
@@ -155,11 +173,6 @@ def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
             stages.append(StageSpec(**row))
         except ConfigError as exc:
             raise ConfigError(f"stage {i}: {exc}") from exc
-        if stages[-1].op in ("conv3x3", "conv1x1", "conv1x1_linear", "hbo",
-                             "inverted_residual") and stages[-1].c is None:
-            raise ConfigError(f"stage {i}: operator {stages[-1].op!r} needs 'c'")
-        if stages[-1].op in ("hbo", "inverted_residual") and stages[-1].t is None:
-            raise ConfigError(f"stage {i}: operator {stages[-1].op!r} needs 't'")
     if not stages:
         raise ConfigError("stage table is empty")
     name = doc.get("name", "network")
@@ -177,22 +190,35 @@ def preset_stage_table(preset: str) -> dict:
     return json.loads(text)
 
 
-def hbonet_spec(width: float = 1.0, resolution: int = 224,
-                divisor: int | None = None, num_classes: int = 1000,
-                variant: int = 1, seed: int = 0) -> NetworkSpec:
-    name, stages = load_stage_table(preset_stage_table("hbonet"))
+def network_spec(table: str | dict, width: float = 1.0, resolution: int = 224,
+                 divisor: int | None = None, num_classes: int = 1000,
+                 variant: int = 1, seed: int = 0) -> NetworkSpec:
+    """The spec of ``table``, a preset name or a stage-table document, at
+    ``width`` and ``resolution``: the one path from a stage table to a
+    :class:`NetworkSpec`. ``divisor=None`` takes :func:`default_divisor`'s
+    policy for the table's name. A bad value raises :class:`ConfigError`
+    naming its field."""
+    name, stages = load_stage_table(
+        preset_stage_table(table) if isinstance(table, str) else table)
     return NetworkSpec(name, stages, width,
                        default_divisor(width, name) if divisor is None else divisor,
                        resolution, num_classes, variant, seed)
 
 
+def hbonet_spec(width: float = 1.0, resolution: int = 224,
+                divisor: int | None = None, num_classes: int = 1000,
+                variant: int = 1, seed: int = 0) -> NetworkSpec:
+    """The harmonious-bottleneck network's canonical stage table."""
+    return network_spec("hbonet", width, resolution, divisor, num_classes,
+                        variant, seed)
+
+
 def mobilenetv2_spec(width: float = 1.0, resolution: int = 224,
                      divisor: int | None = None, num_classes: int = 1000,
                      seed: int = 0) -> NetworkSpec:
-    name, stages = load_stage_table(preset_stage_table("mobilenetv2"))
-    return NetworkSpec(name, stages, width,
-                       default_divisor(width, name) if divisor is None else divisor,
-                       resolution, num_classes, 1, seed)
+    """The inverted-residual baseline's canonical stage table."""
+    return network_spec("mobilenetv2", width, resolution, divisor, num_classes,
+                        seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +350,6 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
     for wide networks.
     """
     res = spec.input_resolution
-    if res < 32:
-        raise ConfigError(f"input resolution {res} too small")
-    if spec.contraction_variant < 1:
-        raise ConfigError(f"contraction variant must be >= 1, "
-                          f"got {spec.contraction_variant}")
     rng = np.random.default_rng(spec.seed) if init_weights else None
     units: list = []
     shapes: list[tuple[int, int, int]] = []
@@ -407,20 +428,6 @@ def _stage_name(st: StageSpec, counts: dict[str, int]) -> str:
     if counts[base] == 1 and st.op not in ("hbo", "inverted_residual"):
         return base
     return f"{base}{counts[base]}"
-
-
-def build_hbonet(spec: NetworkSpec | None = None, **kwargs) -> Network:
-    """The harmonious-bottleneck network from the canonical stage table."""
-    if spec is None:
-        spec = hbonet_spec(**kwargs)
-    return build_network(spec)
-
-
-def build_mobilenetv2(spec: NetworkSpec | None = None, **kwargs) -> Network:
-    """Reference inverted-residual baseline from its canonical stage table."""
-    if spec is None:
-        spec = mobilenetv2_spec(**kwargs)
-    return build_network(spec)
 
 
 def forward(net: Network, x: Tensor) -> np.ndarray:

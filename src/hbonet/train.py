@@ -189,8 +189,7 @@ def train_toy(net_spec: NetworkSpec | None = None,
             f"epochs must be in [1, {config.epochs}] (the schedule length), "
             f"got {epochs}")
     if net_spec is None:
-        net_spec = hbonet_spec(width=0.25, divisor=2,
-                               resolution=config.image_size,
+        net_spec = hbonet_spec(width=0.25, resolution=config.image_size,
                                num_classes=_NUM_CLASSES, seed=seed)
     if net_spec.input_resolution != config.image_size:
         raise ToyConfigError(

@@ -1,16 +1,26 @@
-# hbonet first: it hands a caller's HBONET_NUM_THREADS to the BLAS pools
-# only if it is imported before numpy loads
-import hbonet  # noqa: F401
-import numpy as np
-import pytest
+import os
+
+# Tier-1 runs BLAS on one thread: the pinned bits of a GEMM depend on how
+# many threads share it, and on a 2-core host a second thread slows the toy
+# runs. A caller's own HBONET_NUM_THREADS wins.
+os.environ.setdefault("HBONET_NUM_THREADS", "1")
+
+# hbonet first: it hands HBONET_NUM_THREADS to the BLAS pools only if it is
+# imported before numpy loads
+import hbonet  # noqa: E402,F401
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def pin_versions():
     """The tail of a bitwise pin's failure message. The pinned bits follow
-    the summation and BLAS kernel order of the versions named here (the
-    ``hbonet.ops`` module docstring), so a mismatch on other versions may
-    be theirs rather than the code's."""
+    the summation and BLAS kernel order of the versions and the one BLAS
+    thread named here (the ``hbonet.ops`` module docstring), so a mismatch
+    on other versions or thread counts may be theirs rather than the
+    code's."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"pinned with numpy 2.4.6 and OpenBLAS 0.3.31, running numpy "
-            f"{np.__version__} and {blas['name']} {blas['version']}")
+    return (f"pinned with numpy 2.4.6 and OpenBLAS 0.3.31 on one BLAS thread, "
+            f"running numpy {np.__version__} and {blas['name']} "
+            f"{blas['version']} with HBONET_NUM_THREADS="
+            f"{os.environ['HBONET_NUM_THREADS']}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hbonet.autodiff import (Shape, ShapeTape, Tape, TapeConsumedError,
+from hbonet.autodiff import (Node, Shape, ShapeTape, Tape, TapeConsumedError,
                              _bn_batch_normalize, _bn_normalize, backward, eager,
                              finite_diff_check)
 from hbonet.blocks import (BlockConfig, BlockKind, hbo_forward_node, init_block_params,
@@ -334,13 +334,15 @@ def _random_bn(rng, c=3):
 
 
 class TestOutContract:
-    """On a recording tape ``_out`` must be the value of the op's own
-    interior input; no op that takes ``_out`` reads that input in its VJP."""
+    """On either kind of tape ``_out`` must be the value of the op's own
+    interior input, which the new node takes over; no op that takes
+    ``_out`` reads that input in its VJP."""
 
+    @pytest.mark.parametrize("grad_enabled", [True, False])
     @pytest.mark.parametrize("op", ["relu6", "batchnorm"])
-    def test_leaf_or_foreign_array_refused(self, op):
+    def test_leaf_or_foreign_array_refused(self, op, grad_enabled):
         rng = np.random.default_rng(21)
-        tape = Tape()
+        tape = Tape(grad_enabled)
         leaf = tape.leaf(rng.normal(size=(2, 3, 4, 4)), "x")
         x = _interior(tape, rng)
         for node, out in ((leaf, leaf.value), (x, x.value.copy())):
@@ -350,27 +352,55 @@ class TestOutContract:
                 else:
                     _batchnorm(tape, node, _random_bn(rng), True, _out=out)
 
+    @pytest.mark.parametrize("grad_enabled", [True, False])
     @pytest.mark.parametrize("op", ["relu6", "batchnorm", "batchnorm-inference"])
-    def test_writing_into_the_input_equals_a_fresh_output(self, op):
+    def test_writing_into_the_input_equals_a_fresh_output(self, op, grad_enabled):
         """Same value bytes, leaf gradients and running statistics with
         ``_out=x.value`` as without ``_out``, for the batch norm in both
-        modes."""
+        modes; with ``_out`` a later read of ``x`` raises, as the array
+        holds the new node's value."""
         results = []
         for in_place in (False, True):
             rng = np.random.default_rng(22)
             p = _random_bn(rng)
-            tape = Tape()
+            tape = Tape(grad_enabled)
             x = _interior(tape, rng)
             xv = x.value
             kw = {"_out": xv} if in_place else {}
             y = (tape.relu6(x, **kw) if op == "relu6"
                  else _batchnorm(tape, x, p, op == "batchnorm", **kw))
             assert (y.value is xv) == in_place
+            if in_place:
+                with pytest.raises(TapeConsumedError):
+                    x.value
             value = y.value.tobytes()
-            grads = backward(tape, tape.weighted_sum(y, rng.normal(size=y.shape)))
+            grads = (backward(tape, tape.weighted_sum(y, rng.normal(size=y.shape)))
+                     if grad_enabled else {})
             results.append((value, [(n.name, g.tobytes()) for n, g in grads.items()],
                             p.running_mean.tobytes(), p.running_var.tobytes()))
         assert results[0] == results[1]
+
+
+class TestGemmConvClosure:
+    """A dense or pointwise conv node's VJP keeps only what its backward
+    reads: no Node, and no array but the input's and the weights' values."""
+
+    @pytest.mark.parametrize("op", ["conv2d", "pointwise_conv"])
+    def test_closure_holds_no_node_and_only_the_operand_values(self, op):
+        rng = np.random.default_rng(23)
+        tape = Tape()
+        x = tape.leaf(rng.normal(size=(2, 3, 5, 5)), "x")
+        if op == "conv2d":
+            w = tape.leaf(rng.normal(size=(4, 3, 3, 3)), "w")
+            y = tape.conv2d(x, w, stride=2, pad=1)
+        else:
+            w = tape.leaf(rng.normal(size=(4, 3)), "w")
+            y = tape.pointwise_conv(x, w)
+        cells = [cell.cell_contents for cell in y.vjp.__closure__]
+        assert not any(isinstance(v, Node) for v in cells)
+        arrays = [v for v in cells if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2
+        assert all(v is x.value or v is w.value for v in arrays)
 
 
 class TestFusedBatchNormBitwise:

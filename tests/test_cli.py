@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hbonet import cli
 from hbonet.cli import build_parser, main
 from hbonet.network import SUPPORTED_WIDTHS, load_stage_table
 from hbonet.train import ToyConfig
@@ -170,6 +171,21 @@ class TestTrainToy:
                 args.label_smoothing) == (config.num_samples,
                                           config.batch_size, config.base_lr,
                                           config.label_smoothing)
+
+    @pytest.mark.parametrize("argv,divisor", [
+        ([], 2),                                # width 0.25: the HBONet policy
+        (["--width", "1.0", "--divisor", "0"], 8),
+        (["--width", "1.0", "--divisor", "4"], 4),
+    ])
+    def test_divisor_follows_the_policy(self, argv, divisor, monkeypatch):
+        """``--divisor 0``, the default, takes the divisor policy, as in the
+        other commands; the spec handed to ``train_toy`` is captured, so
+        nothing trains."""
+        seen = []
+        monkeypatch.setattr(cli, "train_toy",
+                            lambda spec, *args, **kwargs: seen.append(spec) or [])
+        assert main(["train-toy", *argv]) == 0
+        assert [spec.divisor for spec in seen] == [divisor]
 
     @pytest.mark.parametrize("argv", [
         ["--epochs", "41"],

@@ -3,6 +3,7 @@ inference behavior, and the ledger and shape trace checked against what the
 forward executes."""
 import hashlib
 import math
+import os
 import re
 import tracemalloc
 
@@ -18,14 +19,13 @@ from hbonet.network import (
     SUPPORTED_WIDTHS,
     NetworkSpec,
     StageSpec,
-    build_hbonet,
-    build_mobilenetv2,
     build_network,
     default_divisor,
     forward,
     hbonet_spec,
     load_stage_table,
     mobilenetv2_spec,
+    network_spec,
     preset_stage_table,
     trace_shapes,
 )
@@ -97,41 +97,41 @@ class TestWidthScaling:
 
 class TestForward:
     def test_logits_shape_and_finiteness(self):
-        net = build_hbonet(width=0.25, resolution=96, num_classes=1000)
+        net = build_network(hbonet_spec(width=0.25, resolution=96, num_classes=1000))
         x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 96, 96)))
         logits = forward(net, x)
         assert logits.shape == (1, 1000)
         assert np.all(np.isfinite(logits))
 
     def test_custom_class_count(self):
-        net = build_hbonet(width=0.25, resolution=96, num_classes=10)
+        net = build_network(hbonet_spec(width=0.25, resolution=96, num_classes=10))
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 96, 96)))
         assert forward(net, x).shape == (2, 10)
 
     def test_deterministic(self):
-        net = build_hbonet(width=0.25, resolution=96, num_classes=10)
+        net = build_network(hbonet_spec(width=0.25, resolution=96, num_classes=10))
         x = Tensor(np.random.default_rng(2).normal(size=(1, 3, 96, 96)))
         assert np.array_equal(forward(net, x), forward(net, x))
 
     def test_per_sample_independence(self):
         """Identical rows in a batch produce identical logits (inference)."""
-        net = build_hbonet(width=0.25, resolution=96, num_classes=10)
+        net = build_network(hbonet_spec(width=0.25, resolution=96, num_classes=10))
         row = np.random.default_rng(3).normal(size=(1, 3, 96, 96))
         x = Tensor(np.concatenate([row, row], axis=0))
         logits = forward(net, x)
         assert np.allclose(logits[0], logits[1], atol=1e-10)
 
     # sha256 of the batch-1 logits' bytes for the input drawn from
-    # default_rng(0), default seed-0 weights. A kernel change that claims to
-    # keep every bit is held to these; one that does not must say why and
-    # replace them.
+    # default_rng(0), default seed-0 weights, on one BLAS thread (the 1.0@224
+    # rows differ on two). A kernel change that claims to keep every bit is
+    # held to these; one that does not must say why and replace them.
     LOGITS = [
-        pytest.param(hbonet_spec, 1.0, 224, "f14e8b1ca08295060d0c37adb195fabb"
-                     "ea28fe2c8e1e4cc3325ced6b5c31357d", id="hbonet-1.0@224"),
+        pytest.param(hbonet_spec, 1.0, 224, "edc0e88a07096f8dd90093df8954753b"
+                     "57668f21f811cd1e093ade4d1709e8b3", id="hbonet-1.0@224"),
         pytest.param(hbonet_spec, 0.25, 96, "478d88916d241deb7d57620685474ccb"
                      "c1f5a7cf672eee72159374201343b773", id="hbonet-0.25@96"),
-        pytest.param(mobilenetv2_spec, 1.0, 224, "1c5bba33145fc7b7b6c7622fdef93e41"
-                     "d0b258c0615a897f421e9bc09691ba93", id="mobilenetv2-1.0@224"),
+        pytest.param(mobilenetv2_spec, 1.0, 224, "fd1a310907bc4556f0653aabbb68f5ab"
+                     "1b8a785266fe192b092d09cb72ad9b63", id="mobilenetv2-1.0@224"),
         pytest.param(mobilenetv2_spec, 0.25, 96, "8d684e2c99f0eb63df93577943e6c80a"
                      "793fb1555be33eef9ec23de2cfc92d82", id="mobilenetv2-0.25@96"),
     ]
@@ -143,8 +143,18 @@ class TestForward:
         got = hashlib.sha256(forward(net, x).tobytes()).hexdigest()
         assert got == digest, f"logits bytes changed (sha256 {got}); {pin_versions}"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads through Linux procfs")
+    def test_blas_runs_on_one_thread(self):
+        """The pins above hold on one BLAS thread, which tests/conftest.py
+        asks for: after a GEMM large enough to be split, this process still
+        runs a single thread."""
+        a = np.random.default_rng(0).normal(size=(512, 512))
+        a @ a
+        assert len(os.listdir("/proc/self/task")) == 1
+
     def test_resolution_mismatch_rejected(self):
-        net = build_hbonet(width=0.25, resolution=96)
+        net = build_network(hbonet_spec(width=0.25, resolution=96))
         with pytest.raises(ConfigError):
             forward(net, Tensor.zeros(1, 3, 64, 64))
 
@@ -292,6 +302,90 @@ class TestStageTableIO:
         assert forward(net, x).shape == (1, 5)
 
 
+# out-of-range values for any numeric spec field: zero, negatives, NaN and
+# the infinities, bools, and floats where an integer is needed
+_BAD_NUMBER = st.sampled_from([0, -1, -8, math.nan, math.inf, -math.inf,
+                               True, False, 0.5, 2.0, 96.0])
+
+
+def _or_bad(valid):
+    return valid | _BAD_NUMBER
+
+
+def _builds_or_raises_config_error(spec_fn):
+    """Build the spec ``spec_fn()`` makes; only ConfigError may stop it."""
+    try:
+        build_network(spec_fn(), init_weights=False)
+    except ConfigError:
+        pass
+
+
+class TestSpecsCheckThemselves:
+    """Each spec dataclass checks its own fields, so every caller, not only
+    the CLI and the stage-table loader, gets a ConfigError naming the field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(preset=st.sampled_from(["hbonet", "mobilenetv2"]),
+           width=_or_bad(st.sampled_from(SUPPORTED_WIDTHS) | st.floats(0.05, 1.5)),
+           divisor=_or_bad(st.sampled_from([2, 3, 4, 8])),
+           resolution=_or_bad(st.sampled_from([32, 64, 96]) | st.integers(32, 100)),
+           num_classes=_or_bad(st.integers(1, 20)),
+           variant=_or_bad(st.integers(1, 3)), seed=_or_bad(st.integers(0, 5)))
+    def test_network_spec_builds_or_raises_config_error(
+            self, preset, width, divisor, resolution, num_classes, variant, seed):
+        name, stages = load_stage_table(preset_stage_table(preset))
+        _builds_or_raises_config_error(lambda: NetworkSpec(
+            name, stages, width, divisor, resolution, num_classes, variant, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=st.sampled_from(["conv3x3", "hbo", "inverted_residual",
+                               "conv1x1_linear", "conv1x1", "avgpool",
+                               "classifier", "dense"]),
+           t=st.none() | _or_bad(st.integers(1, 4)),
+           c=st.none() | _or_bad(st.integers(1, 16)),
+           n=st.none() | _or_bad(st.integers(1, 3)),
+           s=_or_bad(st.sampled_from([1, 2, 3])),
+           width_exempt=st.booleans() | st.sampled_from([0, 1, None]))
+    def test_stage_row_builds_or_raises_config_error(self, op, t, c, n, s,
+                                                      width_exempt):
+        """A row made in Python, between a stem and the pool, classifier."""
+        def spec():
+            row = StageSpec(op, t, c, n, s, width_exempt)
+            return NetworkSpec("custom", (StageSpec("conv3x3", c=8, s=2), row,
+                                          StageSpec("avgpool"),
+                                          StageSpec("classifier")),
+                               input_resolution=64, num_classes=3)
+        _builds_or_raises_config_error(spec)
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: hbonet_spec(num_classes=0), "num_classes"),
+        (lambda: hbonet_spec(divisor=3), "divisor"),
+        (lambda: hbonet_spec(width=float("nan")), "width"),
+        (lambda: hbonet_spec(resolution=224.0), "input_resolution"),
+        (lambda: mobilenetv2_spec(seed=-1), "seed"),
+        (lambda: NetworkSpec("custom", (StageSpec("conv3x3", s=2),
+                                        StageSpec("avgpool"))), "c"),
+        (lambda: StageSpec("hbo", c=16), "t"),
+    ])
+    def test_bad_field_is_named(self, make, field):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            make()
+
+    def test_one_constructor_for_presets_and_documents(self):
+        """A preset name and its document give the same spec, with the
+        divisor policy of the table's name."""
+        for preset in ("hbonet", "mobilenetv2"):
+            doc = preset_stage_table(preset)
+            for width in (0.1, 0.25, 1.0):
+                spec = network_spec(doc, width=width, resolution=96)
+                assert spec == network_spec(preset, width=width, resolution=96)
+                assert spec.divisor == default_divisor(width, preset)
+        assert hbonet_spec(0.5, 160, variant=2, seed=3) == network_spec(
+            "hbonet", 0.5, 160, variant=2, seed=3)
+        with pytest.raises(ConfigError, match="unknown preset"):
+            network_spec("resnet")
+
+
 class TestCascadeVariant:
     def test_contraction_capped_by_resolution(self):
         net = build_network(hbonet_spec(width=0.25, divisor=8, variant=3),
@@ -311,8 +405,8 @@ class TestCascadeVariant:
                           init_weights=False)
 
     def test_variant_forward_shapes_unchanged(self):
-        net = build_hbonet(width=0.25, divisor=8, resolution=96, variant=2,
-                           num_classes=4)
+        net = build_network(hbonet_spec(width=0.25, divisor=8, resolution=96,
+                                        variant=2, num_classes=4))
         x = Tensor(np.random.default_rng(6).normal(size=(1, 3, 96, 96)))
         assert forward(net, x).shape == (1, 4)
 
@@ -325,14 +419,14 @@ class TestMobileNetV2:
         assert channels == [32, 16, 24, 32, 64, 96, 160, 320, 1280, 1280, 1000]
 
     def test_forward(self):
-        net = build_mobilenetv2(width=0.25, resolution=96, num_classes=6)
+        net = build_network(mobilenetv2_spec(width=0.25, resolution=96, num_classes=6))
         x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 96, 96)))
         assert forward(net, x).shape == (1, 6)
 
 
 class TestParameters:
     def test_round_trip(self):
-        net = build_hbonet(width=0.25, resolution=96, num_classes=3)
+        net = build_network(hbonet_spec(width=0.25, resolution=96, num_classes=3))
         params = net.parameters()
         doubled = {k: v * 2.0 for k, v in params.items()}
         net.set_parameters(doubled)
@@ -341,8 +435,8 @@ class TestParameters:
             assert np.array_equal(again[k], params[k] * 2.0)
 
     def test_seeded_init_reproducible(self):
-        a = build_hbonet(width=0.25, resolution=96, seed=5).parameters()
-        b = build_hbonet(width=0.25, resolution=96, seed=5).parameters()
+        a = build_network(hbonet_spec(width=0.25, resolution=96, seed=5)).parameters()
+        b = build_network(hbonet_spec(width=0.25, resolution=96, seed=5)).parameters()
         for k in a:
             assert np.array_equal(a[k], b[k])
 

@@ -10,7 +10,7 @@ import pytest
 from test_autodiff import assert_leaf_grads_bitwise, keep_everything_backward
 
 from hbonet.autodiff import Tape, TapeConsumedError, backward, finite_diff_check
-from hbonet.network import build_hbonet, build_network, hbonet_spec
+from hbonet.network import build_network, hbonet_spec
 from hbonet.tensor import DimensionError
 from hbonet.train import (
     LogRow,
@@ -203,8 +203,8 @@ class TestUntrainedAccuracy:
         """An untrained classifier sits near 1/3 accuracy on 3 classes."""
         from hbonet.network import forward
         from hbonet.tensor import Tensor
-        net = build_hbonet(width=0.25, divisor=2, resolution=32,
-                           num_classes=3, seed=0)
+        net = build_network(hbonet_spec(width=0.25, divisor=2, resolution=32,
+                                        num_classes=3, seed=0))
         images, labels = make_synthetic_dataset(300, seed=0)
         logits = forward(net, Tensor(images))
         acc = float((np.argmax(logits, axis=1) == labels).mean())
