@@ -106,6 +106,12 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"'name' must be a string, got {type(self.name).__name__}")
+        if not (isinstance(self.stages, tuple) and self.stages
+                and all(isinstance(row, StageSpec) for row in self.stages)):
+            raise ConfigError(
+                f"'stages' must be a non-empty tuple of StageSpec rows, got {self.stages!r}")
         if isinstance(self.width, bool) or not (isinstance(self.width, (int, float))
                                                 and 0 < self.width < math.inf):
             raise ConfigError(f"'width' must be a positive finite number, got {self.width!r}")
@@ -150,7 +156,8 @@ def _check_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
 
 def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
     """Parse a stage-table JSON document, reporting the offending row index.
-    A key outside the table's or a row's known keys is an error."""
+    A key outside the table's or a row's known keys is an error; the name
+    and the row count are :class:`NetworkSpec`'s to check."""
     if not isinstance(doc, dict):
         raise ConfigError(
             f"stage table must be a JSON object, got {type(doc).__name__}")
@@ -173,12 +180,7 @@ def load_stage_table(doc: dict) -> tuple[str, tuple[StageSpec, ...]]:
             stages.append(StageSpec(**row))
         except ConfigError as exc:
             raise ConfigError(f"stage {i}: {exc}") from exc
-    if not stages:
-        raise ConfigError("stage table is empty")
-    name = doc.get("name", "network")
-    if not isinstance(name, str):
-        raise ConfigError(f"'name' must be a string, got {type(name).__name__}")
-    return name, tuple(stages)
+    return doc.get("name", "network"), tuple(stages)
 
 
 def preset_stage_table(preset: str) -> dict:
@@ -335,9 +337,7 @@ class Network:
 def _cap_contraction(k: int, h: int, w: int) -> int:
     kb = 0
     while kb < k and h % 2 == 0 and w % 2 == 0:
-        h //= 2
-        w //= 2
-        kb += 1
+        h, w, kb = h // 2, w // 2, kb + 1
     return kb
 
 

@@ -18,9 +18,15 @@ def pin_versions():
     the summation and BLAS kernel order of the versions and the one BLAS
     thread named here (the ``hbonet.ops`` module docstring), so a mismatch
     on other versions or thread counts may be theirs rather than the
-    code's."""
+    code's. The thread count is the one BLAS runs: the process's threads
+    after a GEMM large enough to be split (a caller's own
+    OPENBLAS_NUM_THREADS wins over HBONET_NUM_THREADS)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    a = np.ones((512, 512))
+    a @ a
+    threads = (len(os.listdir("/proc/self/task"))
+               if os.path.isdir("/proc/self/task") else "an unknown number of")
     return (f"pinned with numpy 2.4.6 and OpenBLAS 0.3.31 on one BLAS thread, "
             f"running numpy {np.__version__} and {blas['name']} "
-            f"{blas['version']} with HBONET_NUM_THREADS="
-            f"{os.environ['HBONET_NUM_THREADS']}")
+            f"{blas['version']} on {threads} thread(s) after a GEMM "
+            f"(OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')})")

@@ -206,12 +206,14 @@ class TestStageTableIO:
     @settings(max_examples=300, deadline=None)
     @given(doc=_DOC)
     def test_any_json_document_loads_or_raises_config_error(self, doc):
+        """Through the one constructor: the loader parses the rows, and the
+        spec checks the name and that there is a row."""
         try:
-            name, stages = load_stage_table(doc)
+            spec = network_spec(doc)
         except ConfigError:
             return
-        assert isinstance(name, str) and stages
-        for row in stages:
+        assert isinstance(spec.name, str) and spec.stages
+        for row in spec.stages:
             assert all(v is None or _positive_int(v) for v in (row.t, row.c))
             assert _positive_int(row.n) and row.s in (1, 2)
             assert type(row.s) is int and type(row.width_exempt) is bool
@@ -366,6 +368,12 @@ class TestSpecsCheckThemselves:
         (lambda: NetworkSpec("custom", (StageSpec("conv3x3", s=2),
                                         StageSpec("avgpool"))), "c"),
         (lambda: StageSpec("hbo", c=16), "t"),
+        (lambda: NetworkSpec("custom", ()), "stages"),
+        (lambda: NetworkSpec("custom", ({"op": "avgpool"},)), "stages"),
+        (lambda: network_spec({"format_version": 1, "stages": []}), "stages"),
+        (lambda: NetworkSpec(3, (StageSpec("avgpool"),)), "name"),
+        (lambda: network_spec({"format_version": 1, "name": ["x"],
+                               "stages": [{"op": "avgpool"}]}), "name"),
     ])
     def test_bad_field_is_named(self, make, field):
         with pytest.raises(ConfigError, match=f"'{field}'"):
