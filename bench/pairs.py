@@ -11,8 +11,11 @@ side runs first alternates from pair to pair. The script writes
 holding every run's metrics and, per workload and metric, both sides'
 medians, the parent's interquartile range and the working tree's wins. It
 also stores the ``hbonet.forward_ref_p50 / mobilenetv2.forward_ref_p50``
-ratio, then prints how each result differs from the newest BENCH file
-committed before it.
+ratio, and each run's ``# reference kernel median ...; plain call times ...``
+line with the median of its kernel times per side: a ``ref`` metric is a
+call's time over the kernel's, so a change that moves the kernel moves every
+``ref`` metric. It then prints the kernel medians and how each result
+differs from the newest BENCH file committed before it.
 
 The host's speed drifts about 1.35x between sessions, so compare files by
 their change ratios and forward ratios. Their absolute ``ref`` values do
@@ -24,6 +27,7 @@ import argparse
 import datetime
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -34,6 +38,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FORMAT_VERSION = 1
 RATIO = ("hbonet.forward_ref_p50", "mobilenetv2.forward_ref_p50")
+KERNEL = re.compile(r"# (reference kernel median ([0-9.]+) ms;.*)")
 
 
 def git(root: Path, *args: str) -> str:
@@ -58,10 +63,19 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited "
                            f"{out.returncode}:\n{out.stderr}")
-    lines = out.stdout.strip().splitlines()
+    return parse_run(out.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """One run's record from ``perfbench/run.py``'s output: its last line's
+    JSON, its ``# env`` line and its reference-kernel line, if printed."""
+    lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
+    kernel = next((m for m in map(KERNEL.fullmatch, lines) if m), None)
     return {"env": next((ln[len("# env "):] for ln in lines
                          if ln.startswith("# env ")), None),
+            "reference": kernel and kernel[1],
+            "kernel_ms": kernel and float(kernel[2]),
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
@@ -100,11 +114,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "change": med_t / med_p - 1 if med_p else None,
             "wins": wins, "losses": losses, "pairs": len(pairs),
         }
+    kernel = {side: [r["kernel_ms"] for r in rs if r["kernel_ms"] is not None]
+              for side, rs in sides.items()}
     return {
         "metrics": metrics,
         "forward_ratio": {side: statistics.median(forward_ratio(r["metrics"])
                                                   for r in rs)
                           for side, rs in sides.items()},
+        "kernel_ms": {side: statistics.median(ms) if ms else None
+                      for side, ms in kernel.items()},
         "passed_all": all(r["correct"] for r in runs),
     }
 
@@ -127,6 +145,9 @@ def print_difference(report: dict, earlier: Path | None) -> None:
         fr, fr_prev = summary["forward_ratio"]["tree"], before["forward_ratio"].get("tree")
         print(f"{workload}: hbonet/mobilenetv2 forward ratio {fr:.3f}"
               + (f" (was {fr_prev:.3f})" if fr_prev else ""))
+        print("  reference kernel median ms: " + ", ".join(
+            f"{side} {ms:.3f}" if ms is not None else f"{side} not printed"
+            for side, ms in summary["kernel_ms"].items()))
         for name, m in summary["metrics"].items():
             if m["change"] is None:
                 continue

@@ -210,13 +210,28 @@ def block_layer_table(cfg: BlockConfig) -> tuple[ConvLayerSpec, ...]:
     return tuple(rows)
 
 
+# The one element behind every weightless array. It is read-only, so every
+# view of it is too.
+_ONE_ZERO = np.zeros(1)
+_ONE_ZERO.flags.writeable = False
+
+
+def _zero_view(shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float64 array of zeros in ``shape`` that holds one element:
+    every stride is 0. It costs the same at any size, so a weightless network
+    of any width fits in memory; training replaces it with new arrays."""
+    return np.ndarray(shape, np.float64, buffer=_ONE_ZERO, strides=(0,) * len(shape))
+
+
 def _init_layer(spec: ConvLayerSpec,
                 rng: np.random.Generator | None) -> LayerParams:
-    """Conv weights ~ N(0, 2/fan_out), or zeros without ``rng``; BN gamma 1
-    beta 0. The weight is drawn in ``spec.weight_shape()`` and kept in its
+    """Conv weights ~ N(0, 2/fan_out), or without ``rng`` a read-only zero
+    view of one element (:func:`_zero_view`); BN gamma 1 beta 0, always real
+    arrays, since a training forward updates the running statistics in
+    place. The weight is drawn in ``spec.weight_shape()`` and kept in its
     leaf's shape."""
     if rng is None:
-        w = np.zeros(spec.weight_shape())
+        w = _zero_view(spec.weight_shape())
     else:
         fan_out = spec.kernel * spec.kernel * spec.c_out // spec.groups
         w = rng.normal(0.0, np.sqrt(2.0 / fan_out), size=spec.weight_shape())

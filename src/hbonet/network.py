@@ -30,6 +30,7 @@ from .blocks import (
     LayerParams,
     _apply_layer,
     _init_layer,
+    _zero_view,
     block_forward_node,
     block_layer_table,
     make_divisible,
@@ -55,6 +56,9 @@ _OPS = {"conv3x3", "hbo", "inverted_residual", "conv1x1_linear", "conv1x1",
         "avgpool", "classifier"}
 
 SUPPORTED_WIDTHS = (0.1, 0.25, 0.35, 0.5, 0.6, 0.8, 1.0)
+
+# the smallest input resolution a spec takes
+_MIN_RESOLUTION = 32
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class NetworkSpec:
             raise ConfigError(f"'width' must be a positive finite number, got {self.width!r}")
         if not _is_int(self.divisor) or self.divisor not in (2, 4, 8):
             raise ConfigError(f"'divisor' must be 2, 4 or 8, got {self.divisor!r}")
-        for key, least in (("input_resolution", 32), ("num_classes", 1),
+        for key, least in (("input_resolution", _MIN_RESOLUTION), ("num_classes", 1),
                            ("contraction_variant", 1), ("seed", 0)):
             value = getattr(self, key)
             if not (_is_int(value) and value >= least):
@@ -346,8 +350,11 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
 
     Each unit's forward runs once on a :class:`ShapeTape` as it is appended;
     its output shape sizes the next unit. ``init_weights=False`` builds with
-    zero weights; enough for the ledger and shape tracing, and much faster
-    for wide networks.
+    zero weights and biases: each is a read-only view of one zero element,
+    so the build costs the same memory at any width, which is all the
+    ledger and shape tracing need. Its forward runs, and training adopts
+    the new arrays each step makes (:meth:`Network.set_parameters`). A
+    seeded ``init_weights=True`` build allocates every weight.
     """
     res = spec.input_resolution
     rng = np.random.default_rng(spec.seed) if init_weights else None
@@ -409,9 +416,10 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
                 conv = ConvLayerSpec(stage_name, "pointwise", c, k, 1, 1, False, False)
                 # kaiming-style 2/fan_out blows up here (fan_out is only the
                 # class count); a small normal keeps initial logits near zero
-                weight = (np.zeros((k, c)) if rng is None
+                weight = (_zero_view((k, c)) if rng is None
                           else rng.normal(0.0, 0.01, size=(k, c)))
-                layer = LayerParams(conv, weight, None, np.zeros(k))
+                bias = _zero_view((k,)) if rng is None else np.zeros(k)
+                layer = LayerParams(conv, weight, None, bias)
                 append(stage_name, {stage_name: layer}, _classifier_wiring)
         except (ConfigError, DimensionError) as exc:
             raise ConfigError(f"stage {i} ({stage_name}): {exc}") from exc

@@ -139,6 +139,9 @@ class BatchNormParams:
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         self.beta = np.asarray(self.beta, dtype=np.float64)
+        if self.gamma.ndim != 1:
+            raise DimensionError(
+                f"batchnorm gamma must be a 1-D vector, got shape {self.gamma.shape}")
         c = self.gamma.shape[0]
         if self.running_mean is None:
             self.running_mean = np.zeros(c)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .blocks import ConfigError
-from .network import Network, NetworkSpec, build_network, hbonet_spec
+from .network import _MIN_RESOLUTION, Network, NetworkSpec, build_network, hbonet_spec
 
 __all__ = [
     "TrainingError",
@@ -148,12 +148,15 @@ class LogRow:
     accuracy: float
 
 
-# (field, test, requirement): ``train_toy`` checks each before any step
+# (field, test, requirement): ``train_toy`` checks each before any step. The
+# data are the network's input, so ``image_size`` needs the resolution any
+# network spec needs, above the dataset's own bar length.
 _CONFIG_RULES = (
     ("epochs", lambda v: v >= 1, ">= 1"),
     ("num_samples", lambda v: v >= 1, ">= 1"),
     ("batch_size", lambda v: v >= 1, ">= 1"),
-    ("image_size", lambda v: v >= _MIN_IMAGE_SIZE, f">= {_MIN_IMAGE_SIZE}"),
+    ("image_size", lambda v: v >= _MIN_RESOLUTION,
+     f">= {_MIN_RESOLUTION}, the smallest network input"),
     ("base_lr", lambda v: 0 < v < math.inf, "a positive finite number"),
     ("label_smoothing", lambda v: 0 <= v < 1, "in [0, 1)"),
     ("noise", lambda v: 0 <= v < math.inf, "a finite number >= 0"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbonet.autodiff import Tape
+from hbonet.autodiff import Tape, backward
 from hbonet.blocks import ConfigError, make_divisible
 from hbonet.complexity import ledger
 from hbonet.network import (
@@ -30,6 +30,7 @@ from hbonet.network import (
     trace_shapes,
 )
 from hbonet.tensor import DimensionError, Tensor
+from hbonet.train import OptimizerState, sgd_step
 
 TABLE1_COLUMN = [
     ("conv1", (32, 112, 112)),
@@ -493,6 +494,66 @@ class TestParameters:
             with pytest.raises(DimensionError, match=re.escape(repr(last))):
                 net.set_parameters(bad)
             assert all(net.parameters()[k] is new[k] for k in new)
+
+
+class TestWeightless:
+    """``init_weights=False`` holds each weight and classifier bias as a
+    read-only view of one zero element; batch-norm vectors stay real arrays."""
+
+    @pytest.mark.parametrize("make_spec", [hbonet_spec, mobilenetv2_spec])
+    def test_build_peak_memory(self, make_spec):
+        """The tracemalloc peak of a weightless 1.0@224 build: 0.69 MB for
+        HBONet and 0.61 MB for MobileNetV2, against 35.2 and 27.1 MB while
+        every weight was zero-filled."""
+        spec = make_spec(1.0)
+        tracemalloc.start()
+        try:
+            build_network(spec, init_weights=False)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 2.0
+
+    def test_any_width_builds(self):
+        """Width 96's widest weight, expand_pw's (82944, 13824), would take
+        8.54 GiB as a filled array."""
+        net = build_network(network_spec("hbonet", 96.0, 32, divisor=2, num_classes=1),
+                            init_weights=False)
+        assert ledger(net).total_macs == 45_320_398_848
+
+    def test_parameters_are_read_only_zeros(self):
+        net = build_network(hbonet_spec(0.25, 96, num_classes=3), init_weights=False)
+        for name, value in net.parameters().items():
+            if name.endswith((".weight", ".bias")):
+                assert not value.any() and not value.flags.writeable, name
+                assert value.strides == (0,) * value.ndim, name
+            else:   # batch-norm gamma and beta
+                assert value.flags.writeable, name
+
+    def test_train_step_adopts_new_arrays(self):
+        """A training step on read-only zero views gives the values it gives
+        on filled zero arrays, and the network adopts its writable result."""
+        spec = hbonet_spec(0.25, 32, divisor=2, num_classes=3)
+        x = np.random.default_rng(0).normal(size=(4, 3, 32, 32))
+        labels = np.array([0, 1, 2, 0])
+
+        def step(net):
+            tape = Tape()
+            logits = net.forward_node(tape.leaf(x, "input"), tape, training=True)
+            loss = tape.label_smooth_ce(logits, labels, 0.1)
+            grads = {n.name: g for n, g in backward(tape, loss).items()}
+            net.set_parameters(sgd_step(net.parameters(), grads, OptimizerState(), 0.1))
+            return loss.value, net.parameters()
+
+        views = build_network(spec, init_weights=False)
+        filled = build_network(spec, init_weights=False)
+        filled.set_parameters({k: np.zeros(v.shape) if not v.flags.writeable else v
+                               for k, v in filled.parameters().items()})
+        (loss_v, got), (loss_f, want) = step(views), step(filled)
+        assert loss_v == loss_f
+        assert all(got[k].flags.writeable and np.array_equal(got[k], want[k])
+                   for k in want)
+        assert forward(views, Tensor(x)).any()
 
 
 # ---------------------------------------------------------------------------

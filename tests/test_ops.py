@@ -724,13 +724,15 @@ class TestBatchNorm:
         ("momentum", -0.1), ("momentum", 1.5),
         ("running_mean", [0.0, np.nan]), ("running_mean", [np.inf, 0.0]),
         ("running_var", [1.0, np.nan]), ("running_var", [np.inf, 1.0]),
+        ("gamma", 1.0),
     ])
     def test_bad_parameters_rejected(self, field, value):
         """A non-finite eps, a momentum outside [0, 1] or a non-finite
         running statistic raises: a NaN in any of them would spread NaN
-        through every training batch norm."""
+        through every training batch norm. A gamma that is not a vector
+        raises too, naming its shape."""
         with pytest.raises(ValueError, match=field):
-            BatchNormParams(np.ones(2), np.zeros(2), **{field: value})
+            BatchNormParams(**{"gamma": np.ones(2), "beta": np.zeros(2), field: value})
 
 
 @pytest.mark.parametrize("in_place", [False, True])

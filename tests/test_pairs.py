@@ -1,6 +1,7 @@
-"""The pairs recorder's summary: medians, parent IQR, wins and the forward
-ratio, on synthetic runs."""
+"""The pairs recorder's summary: medians, parent IQR, wins, the forward
+ratio and the reference-kernel medians, on synthetic runs."""
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -18,6 +19,7 @@ def pairs():
 
 def _run(side, seed, step, passed=1.0, hbo=2.0, mnv2=1.0):
     return {"side": side, "seed": seed, "correct": passed == 1.0,
+            "kernel_ms": 1.0 + seed / 10 if side == "tree" else None,
             "metrics": {"train.step_ref_p50": step, "passed_frac": passed,
                         "hbonet.forward_ref_p50": hbo,
                         "mobilenetv2.forward_ref_p50": mnv2}}
@@ -38,7 +40,21 @@ def test_summary_counts_wins_by_direction(pairs):
     passed = s["metrics"]["passed_frac"]
     assert (passed["wins"], passed["losses"]) == (1, 0)
     assert s["forward_ratio"] == {"parent": 2.0, "tree": 2.0}
+    assert s["kernel_ms"] == {"parent": None, "tree": pytest.approx(1.25)}
     assert s["passed_all"] is False
+
+
+def test_parse_run_keeps_the_reference_kernel_line(pairs):
+    line = ("reference kernel median 1.190 ms; plain call times in ms "
+            "(median, tail): infer.hbonet=85.10,90.20")
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"setup_s": {"value": 0.5, "unit": "s"}}}
+    out = "\n".join(["# env python 3.11", "# setup_s samples [0.5]", f"# {line}",
+                     "# 1.00 rounds in 30.0 s", json.dumps(result)])
+    run = pairs.parse_run(out)
+    assert (run["reference"], run["kernel_ms"]) == (line, 1.19)
+    assert run["env"] == "python 3.11" and run["metrics"] == {"setup_s": 0.5}
+    assert pairs.parse_run(json.dumps(result))["kernel_ms"] is None
 
 
 def test_newest_earlier_follows_commit_order_not_names(pairs, tmp_path, monkeypatch):

@@ -398,6 +398,11 @@ class TestNetworkFitsData:
         with pytest.raises(ToyConfigError):
             train_toy(spec, config, epochs=1)
 
+    def test_default_net_under_32_names_image_size(self):
+        config = ToyConfig(image_size=16, num_samples=32, batch_size=32)
+        with pytest.raises(ToyConfigError, match="image_size"):
+            train_toy(config=config, epochs=1)
+
     def test_more_classes_than_the_data_train(self):
         log = train_toy(hbonet_spec(0.25, 32, divisor=2, num_classes=4),
                         ToyConfig(num_samples=8, batch_size=8), epochs=1)
