@@ -246,7 +246,8 @@ def _init_layer(spec: ConvLayerSpec,
 def init_block_params(cfg: BlockConfig, rng: np.random.Generator | None = None,
                       zero: bool = False) -> dict[str, LayerParams]:
     """Kaiming-style init: conv weights ~ N(0, 2/fan_out), BN gamma 1 beta 0;
-    the layers keyed by table name, in table order."""
+    the layers keyed by table name, in table order. ``zero=True`` gives
+    read-only zero weights instead (see :func:`_init_layer`)."""
     if rng is None:
         rng = np.random.default_rng(0)
     return {spec.name: _init_layer(spec, None if zero else rng)
