@@ -12,9 +12,11 @@ holding every run's metrics and, per workload and metric, both sides'
 medians, the parent's interquartile range and the working tree's wins. It
 also stores the ``hbonet.forward_ref_p50 / mobilenetv2.forward_ref_p50``
 ratio, and each run's ``# reference kernel median ...; plain call times ...``
-line with the median of its kernel times per side: a ``ref`` metric is a
-call's time over the kernel's, so a change that moves the kernel moves every
-``ref`` metric. It then prints the kernel medians and how each result
+line, from which it keeps the run's kernel median and its plain median ms
+per call kind, with the median of each over the runs per side: a ``ref``
+metric is a call's time over the kernel's, so a change that moves the kernel
+moves every ``ref`` metric, and the plain times show whether the call itself
+moved. It then prints the kernel and plain-ms medians and how each result
 differs from the newest BENCH file committed before it.
 
 The host's speed drifts about 1.35x between sessions, so compare files by
@@ -39,6 +41,7 @@ HERE = Path(__file__).resolve().parent
 FORMAT_VERSION = 1
 RATIO = ("hbonet.forward_ref_p50", "mobilenetv2.forward_ref_p50")
 KERNEL = re.compile(r"# (reference kernel median ([0-9.]+) ms;.*)")
+PLAIN = re.compile(r"(\w+)=([0-9.]+),[0-9.]+")   # kind=median,tail
 
 
 def git(root: Path, *args: str) -> str:
@@ -68,7 +71,8 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
 
 def parse_run(stdout: str) -> dict:
     """One run's record from ``perfbench/run.py``'s output: its last line's
-    JSON, its ``# env`` line and its reference-kernel line, if printed."""
+    JSON, its ``# env`` line and its reference-kernel line, if printed, with
+    the kernel median and each call kind's plain median ms read from it."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     kernel = next((m for m in map(KERNEL.fullmatch, lines) if m), None)
@@ -76,6 +80,8 @@ def parse_run(stdout: str) -> dict:
                          if ln.startswith("# env ")), None),
             "reference": kernel and kernel[1],
             "kernel_ms": kernel and float(kernel[2]),
+            "plain_ms": kernel and {kind: float(ms) for kind, ms
+                                    in PLAIN.findall(kernel[1])},
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
@@ -116,6 +122,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         }
     kernel = {side: [r["kernel_ms"] for r in rs if r["kernel_ms"] is not None]
               for side, rs in sides.items()}
+    plain = {side: [r["plain_ms"] for r in rs if r.get("plain_ms")]
+             for side, rs in sides.items()}
     return {
         "metrics": metrics,
         "forward_ratio": {side: statistics.median(forward_ratio(r["metrics"])
@@ -123,6 +131,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                           for side, rs in sides.items()},
         "kernel_ms": {side: statistics.median(ms) if ms else None
                       for side, ms in kernel.items()},
+        "plain_ms": {side: {kind: statistics.median(r[kind] for r in rs)
+                            for kind in rs[0]} if rs else None
+                     for side, rs in plain.items()},
         "passed_all": all(r["correct"] for r in runs),
     }
 
@@ -148,6 +159,10 @@ def print_difference(report: dict, earlier: Path | None) -> None:
         print("  reference kernel median ms: " + ", ".join(
             f"{side} {ms:.3f}" if ms is not None else f"{side} not printed"
             for side, ms in summary["kernel_ms"].items()))
+        for side, kinds in summary.get("plain_ms", {}).items():
+            print(f"  {side} plain median ms: " + (" ".join(
+                f"{kind} {ms:.2f}" for kind, ms in kinds.items())
+                if kinds else "not printed"))
         for name, m in summary["metrics"].items():
             if m["change"] is None:
                 continue

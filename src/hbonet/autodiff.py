@@ -16,6 +16,7 @@ the network's ledger and shape trace come from that one symbolic run.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Callable
 
 import numpy as np
@@ -573,6 +574,10 @@ class Shape:
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
 
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
 
 class ShapeTape(Tape):
     """Runs forward wiring on shapes instead of arrays, grad disabled: a
@@ -589,11 +594,10 @@ class ShapeTape(Tape):
     def __init__(self):
         super().__init__(grad_enabled=False)
         self.rows: list[list] = []
-        self.params: dict[str, int] = {}
+        self.params: dict[str, int] = defaultdict(int)
 
     def leaf(self, value, name: str = "leaf") -> Node:
-        prefix = name.rpartition(".")[0]
-        self.params[prefix] = self.params.get(prefix, 0) + math.prod(value.shape)
+        self.params[name.rpartition(".")[0]] += value.size
         return Node(value, (), None, name)
 
 
@@ -602,17 +606,15 @@ def _symbolic_op(name: str, rule):
     each conv."""
     conv = name in ("conv2d", "depthwise_conv", "pointwise_conv")
 
-    def op(self, *args, _out=None, **kwargs):
-        x = args[0]
-        shape = rule(*[a.value.shape if isinstance(a, Node) else a for a in args],
-                     **kwargs)
-        if shape is x.value.shape:   # the operand's own shape: reuse its node
+    def op(self, x, *args, _out=None, **kwargs):
+        xs = x.value.shape
+        shapes = [a.value.shape if isinstance(a, Node) else a for a in args]
+        shape = rule(xs, *shapes, **kwargs)
+        if shape is xs:     # the operand's own shape: reuse its node
             return x
         if conv:
-            w = args[1]
-            macs = math.prod(shape[1:]) * math.prod(w.value.shape[1:])
-            self.rows.append([w.name.rpartition(".")[0], macs, shape[1:],
-                              x.value.shape[2:]])
+            macs = math.prod(shape[1:]) * math.prod(shapes[0][1:])
+            self.rows.append([args[0].name.rpartition(".")[0], macs, shape[1:], xs[2:]])
         return Node(Shape(shape), (), None, name)
 
     op.__name__ = name

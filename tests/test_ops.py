@@ -1,5 +1,6 @@
 """Optimized neural ops: hand-computed cases, oracle equivalence, and
 algebraic laws."""
+import itertools
 import tracemalloc
 from contextlib import contextmanager
 
@@ -666,6 +667,29 @@ class TestRelu6:
 
 
 class TestBatchNorm:
+    @pytest.mark.parametrize("c", [1, 3, 96])
+    def test_identity_equals_checked_construction(self, c):
+        """``identity`` skips the checks but makes what the checked
+        constructor makes: four distinct, writable, C-contiguous float64
+        (c,) vectors, none shared with another identity."""
+        p, q = BatchNormParams.identity(c), BatchNormParams.identity(c)
+        want = BatchNormParams(np.ones(c), np.zeros(c))
+        arrays = ("gamma", "beta", "running_mean", "running_var")
+        for name in arrays:
+            a = getattr(p, name)
+            assert np.array_equal(a, getattr(want, name)), name
+            assert a.dtype == np.float64 and a.shape == (c,), name
+            assert a.flags.writeable and a.flags.c_contiguous, name
+        assert (p.eps, p.momentum) == (want.eps, want.momentum)
+        assert p.channels == c
+        for a, b in itertools.combinations([getattr(r, n) for r in (p, q)
+                                            for n in arrays], 2):
+            assert not np.shares_memory(a, b)
+        p.running_var *= 0.5    # as a training forward updates it in place
+        assert np.array_equal(p.gamma, np.ones(c))
+        for name in arrays:
+            assert np.array_equal(getattr(q, name), getattr(want, name)), name
+
     def test_identity_parameters_inference(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 3, 4, 4)))

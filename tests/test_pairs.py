@@ -54,7 +54,39 @@ def test_parse_run_keeps_the_reference_kernel_line(pairs):
     run = pairs.parse_run(out)
     assert (run["reference"], run["kernel_ms"]) == (line, 1.19)
     assert run["env"] == "python 3.11" and run["metrics"] == {"setup_s": 0.5}
+    assert run["plain_ms"] == {"hbonet": 85.1}
     assert pairs.parse_run(json.dumps(result))["kernel_ms"] is None
+
+
+def test_plain_call_times_are_kept_per_run_and_summarized_per_side(pairs):
+    """Each run's plain median ms per call kind come from its kernel line;
+    the summary holds each side's median of them next to the kernel's."""
+    def stdout(kernel, hbo, step):
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {name: {"value": 1.0, "unit": "ref"}
+                              for name in pairs.RATIO}}
+        return "\n".join([
+            "# env python 3.11",
+            f"# reference kernel median {kernel:.3f} ms; plain call times in ms "
+            f"(median, tail): hbonet={hbo:.2f},102.11 mobilenetv2=55.30,60.00 "
+            f"step={step:.2f},90.50 ledger=2.84,3.10",
+            json.dumps(result)])
+
+    runs = [{"side": side, "seed": seed, **pairs.parse_run(stdout(*args))}
+            for side, seed, args in (("parent", 1, (1.25, 80.73, 83.00)),
+                                     ("tree", 1, (1.12, 80.10, 82.90)),
+                                     ("tree", 2, (1.16, 81.50, 83.40)),
+                                     ("parent", 2, (1.29, 79.90, 84.20)),
+                                     ("parent", 3, (1.27, 81.00, 82.10)),
+                                     ("tree", 3, (1.14, 80.40, 83.10)))]
+    assert runs[0]["plain_ms"] == {"hbonet": 80.73, "mobilenetv2": 55.3,
+                                   "step": 83.0, "ledger": 2.84}
+    s = pairs.summarize(runs, {})
+    assert s["kernel_ms"] == {"parent": 1.27, "tree": 1.14}
+    assert s["plain_ms"]["parent"] == {"hbonet": 80.73, "mobilenetv2": 55.3,
+                                       "step": 83.0, "ledger": 2.84}
+    assert s["plain_ms"]["tree"]["hbonet"] == 80.4
+    assert s["plain_ms"]["tree"]["step"] == 83.1
 
 
 def test_newest_earlier_follows_commit_order_not_names(pairs, tmp_path, monkeypatch):
