@@ -159,7 +159,7 @@ def print_difference(report: dict, earlier: Path | None) -> None:
         print("  reference kernel median ms: " + ", ".join(
             f"{side} {ms:.3f}" if ms is not None else f"{side} not printed"
             for side, ms in summary["kernel_ms"].items()))
-        for side, kinds in summary.get("plain_ms", {}).items():
+        for side, kinds in summary["plain_ms"].items():
             print(f"  {side} plain median ms: " + (" ".join(
                 f"{kind} {ms:.2f}" for kind, ms in kinds.items())
                 if kinds else "not printed"))
